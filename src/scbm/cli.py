@@ -276,25 +276,71 @@ def _report_row(seed, report, extra_flag=""):
     )
 
 
+def _duality_configs(settings):
+    """Every scbm-duality check config, built and validated before any check runs."""
+    for key in DUALITY_SCHEMA:
+        if key.endswith("_n") and settings[key] < 2:
+            raise ConfigError(f"bad value for {key!r} in section [scbm-duality]: need at least two replicas")
+    params = _params_from(settings)
+    try:
+        lap = LaplaceDualityConfig(
+            params=params,
+            t=settings["laplace_t"],
+            mu=MeasureSpec(intervals=((settings["laplace_mu_lo"], settings["laplace_mu_hi"]),)),
+            pairs=((settings["laplace_pair_lo"], settings["laplace_pair_hi"]),),
+            coefficients=(settings["laplace_coeff"],),
+            n=settings["laplace_n"],
+        )
+        occ_eq = OccupationDualityConfig(
+            params=BranchingParams(gamma=0.0),
+            window=(settings["occupation_y1"], settings["occupation_y2"]),
+            c=settings["occupation_c"],
+            t=settings["occupation_t"],
+            n=settings["occupation_n"],
+        )
+        return dict(
+            laplace=lap,
+            control=replace(lap, n=settings["control_n"], rhs_gamma_scale=settings["control_scale"]),
+            absorbing=AbsorbingExtinctionConfig(
+                barriers=(settings["absorbing_a"], settings["absorbing_b"]),
+                c=settings["absorbing_c"],
+                t=settings["absorbing_t"],
+                n=settings["absorbing_n"],
+            ),
+            occupation_eq=occ_eq,
+            occupation_bound=replace(occ_eq, params=params),
+            vacancy=VacancyBoundConfig(
+                params=params,
+                a=settings["vacancy_a"],
+                s1=settings["vacancy_s1"],
+                s2=settings["vacancy_s2"],
+                mu=MeasureSpec(intervals=((-settings["vacancy_L"], settings["vacancy_L"]),)),
+                n=settings["vacancy_n"],
+            ),
+            smoke=ReflectedLaplaceConfig(
+                params=params,
+                barriers=(settings["smoke_barrier_lo"], settings["smoke_barrier_hi"]),
+                t=settings["laplace_t"],
+                mu=lap.mu,
+                pairs=lap.pairs,
+                coefficients=lap.coefficients,
+                n=settings["smoke_n"],
+            ),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad value in section [scbm-duality]: {exc}") from exc
+
+
 def _run_scbm_duality(settings, seed, threads):
     rows, failed = [], False
-    params = _params_from(settings)
+    cfgs = _duality_configs(settings)
 
-    lap = LaplaceDualityConfig(
-        params=params,
-        t=settings["laplace_t"],
-        mu=MeasureSpec(intervals=((settings["laplace_mu_lo"], settings["laplace_mu_hi"]),)),
-        pairs=((settings["laplace_pair_lo"], settings["laplace_pair_hi"]),),
-        coefficients=(settings["laplace_coeff"],),
-        n=settings["laplace_n"],
-    )
-    report = laplace_duality_check(lap, seed, threads)
+    report = laplace_duality_check(cfgs["laplace"], seed, threads)
     failed |= not report.passed
     rows.append(_report_row(seed, report))
 
     if settings["run_control"]:
-        control_cfg = replace(lap, n=settings["control_n"], rhs_gamma_scale=settings["control_scale"])
-        control = laplace_duality_check(control_cfg, seed + 1, threads)
+        control = laplace_duality_check(cfgs["control"], seed + 1, threads)
         detected = abs(control.z_score) > 3.0
         failed |= not detected
         rows.append(
@@ -311,12 +357,7 @@ def _run_scbm_duality(settings, seed, threads):
             )
         )
 
-    absorbing = AbsorbingExtinctionConfig(
-        barriers=(settings["absorbing_a"], settings["absorbing_b"]),
-        c=settings["absorbing_c"],
-        t=settings["absorbing_t"],
-        n=settings["absorbing_n"],
-    )
+    absorbing = cfgs["absorbing"]
     report = absorbing_extinction_check(absorbing, seed + 10, threads)
     failed |= not report.passed
     rows.append(_report_row(seed, report))
@@ -334,52 +375,17 @@ def _run_scbm_duality(settings, seed, threads):
         )
     )
 
-    occ_window = (settings["occupation_y1"], settings["occupation_y2"])
-    occ_eq = OccupationDualityConfig(
-        params=BranchingParams(gamma=0.0),
-        window=occ_window,
-        c=settings["occupation_c"],
-        t=settings["occupation_t"],
-        n=settings["occupation_n"],
-    )
-    report = occupation_duality_check(occ_eq, seed + 20, threads)
-    failed |= not report.passed
-    rows.append(_report_row(seed, report))
-
-    occ_br = OccupationDualityConfig(
-        params=params,
-        window=occ_window,
-        c=settings["occupation_c"],
-        t=settings["occupation_t"],
-        n=settings["occupation_n"],
-    )
-    report = occupation_duality_check(occ_br, seed + 30, threads)
-    failed |= not report.passed
-    rows.append(_report_row(seed, report))
-
-    vac = VacancyBoundConfig(
-        params=params,
-        a=settings["vacancy_a"],
-        s1=settings["vacancy_s1"],
-        s2=settings["vacancy_s2"],
-        mu=MeasureSpec(intervals=((-settings["vacancy_L"], settings["vacancy_L"]),)),
-        n=settings["vacancy_n"],
-    )
-    report = interval_vacancy_bound_check(vac, seed + 40, threads)
-    failed |= not report.passed
-    rows.append(_report_row(seed, report))
+    for key, check, offset in (
+        ("occupation_eq", occupation_duality_check, 20),
+        ("occupation_bound", occupation_duality_check, 30),
+        ("vacancy", interval_vacancy_bound_check, 40),
+    ):
+        report = check(cfgs[key], seed + offset, threads)
+        failed |= not report.passed
+        rows.append(_report_row(seed, report))
 
     if settings["run_smoke"]:
-        smoke = ReflectedLaplaceConfig(
-            params=params,
-            barriers=(settings["smoke_barrier_lo"], settings["smoke_barrier_hi"]),
-            t=settings["laplace_t"],
-            mu=MeasureSpec(intervals=((settings["laplace_mu_lo"], settings["laplace_mu_hi"]),)),
-            pairs=((settings["laplace_pair_lo"], settings["laplace_pair_hi"]),),
-            coefficients=(settings["laplace_coeff"],),
-            n=settings["smoke_n"],
-        )
-        report = reflected_laplace_smoke(smoke, seed + 50, threads)
+        report = reflected_laplace_smoke(cfgs["smoke"], seed + 50, threads)
         rows.append(_report_row(seed, report, extra_flag="smoke"))
     return rows, failed, None
 
@@ -503,18 +509,25 @@ def _run_survival(settings, seed, threads):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    try:
+        cfgs = [
+            SurvivalConfig(
+                params=params,
+                g=g,
+                truncation=settings["truncation"],
+                horizons=tuple(settings["horizons"]),
+                replicas=settings["replicas"],
+                t0=settings["t0"],
+                dt=settings["dt"],
+                batch=settings["batch"],
+            )
+            for g in [g_main] + ([g_alt] if g_alt is not None else [])
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"bad value in section [survival]: {exc}") from exc
+
     results = []
-    for g in [g_main] + ([g_alt] if g_alt is not None else []):
-        cfg = SurvivalConfig(
-            params=params,
-            g=g,
-            truncation=settings["truncation"],
-            horizons=tuple(settings["horizons"]),
-            replicas=settings["replicas"],
-            t0=settings["t0"],
-            dt=settings["dt"],
-            batch=settings["batch"],
-        )
+    for cfg in cfgs:
         res = survival_experiment(cfg, seed, threads)
         results.append(res)
         for i, (horizon, frac, se) in enumerate(zip(res.horizons, res.fractions, res.stderrs)):

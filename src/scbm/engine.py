@@ -25,14 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import BranchingParams, cumulant_limit, sample_entrance_mass, sample_transition
-from .flow import FlowBoundary, step_positions
+from .branching import BranchingParams, cumulant_limit, sample_entrance_mass
+from .flow import FlowBoundary, ReplicaFlow
 
 __all__ = [
     "MeasureSpec",
     "ExcursionAtom",
     "AtomicMeasure",
     "init_atoms",
+    "init_ensemble",
     "atomize_measure",
     "evolve_scbm",
     "window_mass",
@@ -138,6 +139,23 @@ def init_atoms(mu: MeasureSpec, t0: float, params: BranchingParams, rng: np.rand
     return [ExcursionAtom(birth_location=float(a), mass=float(m)) for a, m in zip(locations, masses)]
 
 
+def init_ensemble(
+    mu: MeasureSpec,
+    t0: float,
+    params: BranchingParams,
+    rng: np.random.Generator,
+    count: int,
+    boundary: FlowBoundary | None = None,
+) -> ReplicaFlow:
+    """``count`` independent populations as :func:`init_atoms` builds them, as one replica flow."""
+    per = rng.poisson(mu.total_mass * cumulant_limit(params, t0), count)
+    total = int(per.sum())
+    locations = mu.sample(rng, total) if total else np.empty(0)
+    masses = sample_entrance_mass(params, t0, rng, size=total) if total else np.empty(0)
+    replica = np.repeat(np.arange(count), per)
+    return ReplicaFlow(locations, replica, count, boundary=boundary, masses=masses, params=params)
+
+
 def atomize_measure(mu: MeasureSpec, spacing: float) -> list[ExcursionAtom]:
     """Deterministic discretization for the no-branching pathway (gamma = 0).
 
@@ -175,32 +193,18 @@ def evolve_scbm(
     times = np.asarray(grid, dtype=float)
     if len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("grid must be a strictly increasing time sequence")
-    pos = np.array([a.birth_location for a in atoms], dtype=float)
-    mass = np.array([a.mass for a in atoms], dtype=float)
-    order = np.argsort(pos, kind="stable")
-    pos, mass = pos[order], mass[order]
-    # equal positions are one atom from the start
-    if len(pos) > 1:
-        uniq, inverse = np.unique(pos, return_inverse=True)
-        if len(uniq) < len(pos):
-            mass = np.bincount(inverse, weights=mass)
-            pos = uniq
-    frozen = np.full(len(pos), np.nan)
-    if flow_boundary is not None and flow_boundary.kind == "absorbing" and len(pos):
-        on_bar = np.isin(pos, flow_boundary.points)
-        frozen[on_bar] = pos[on_bar]
-
-    snapshots = [AtomicMeasure(locations=pos.copy(), masses=mass.copy())]
+    flow = ReplicaFlow(
+        [a.birth_location for a in atoms],
+        np.zeros(len(atoms), dtype=np.int64),
+        1,
+        boundary=flow_boundary,
+        masses=[a.mass for a in atoms],
+        params=params,
+    )
+    snapshots = [AtomicMeasure(locations=flow.pos.copy(), masses=flow.mass.copy())]
     for step in range(1, len(times)):
-        dt = times[step] - times[step - 1]
-        if len(pos):
-            pos, frozen, ids = step_positions(pos, frozen, dt, rng, boundary=flow_boundary)
-            mass = np.bincount(ids, weights=mass)
-            if params.gamma > 0:
-                mass = sample_transition(params, dt, mass, rng)
-            keep = mass > 0
-            pos, frozen, mass = pos[keep], frozen[keep], mass[keep]
-        snapshots.append(AtomicMeasure(locations=pos.copy(), masses=mass.copy()))
+        flow.step(times[step] - times[step - 1], rng)
+        snapshots.append(AtomicMeasure(locations=flow.pos.copy(), masses=flow.mass.copy()))
     return snapshots
 
 

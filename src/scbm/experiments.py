@@ -12,7 +12,6 @@ window-survival ensembles of the full measure-valued process.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -20,8 +19,8 @@ import numpy as np
 from scipy import integrate
 
 from .branching import BranchingParams, cumulant_limit, sample_transition
-from .engine import MeasureSpec
-from .harness import MCEstimate, _FlatEnsemble, _replica_rng, hybrid_grid, mc_estimate
+from .engine import MeasureSpec, init_ensemble
+from .harness import MCEstimate, _run_batches, hybrid_grid, mc_estimate
 
 __all__ = [
     "GrowthFunction",
@@ -477,7 +476,15 @@ class SurvivalConfig:
         if any(h <= 0 for h in self.horizons):
             raise ValueError("horizons must be positive")
         if self.replicas < 2:
-            raise ValueError("need at least two replicas")
+            raise ValueError("replicas must be >= 2")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        if not (0 < self.dt < math.inf):
+            raise ValueError("dt must be positive and finite")
+        if not (0 < self.t0 < math.inf):
+            raise ValueError("t0 must be positive and finite")
+        if self.params.gamma <= 0:
+            raise ValueError("gamma must be > 0: survival ensembles start from the entrance law")
 
 
 @dataclass(frozen=True)
@@ -501,7 +508,7 @@ def _survival_batch(cfg: SurvivalConfig, rng: np.random.Generator, count: int) -
     """Per-replica rows: one survival indicator per horizon plus an alive flag."""
     mu = MeasureSpec(intervals=((-cfg.truncation, cfg.truncation),) if cfg.truncation > 0 else ())
     grid = _survival_grid(cfg)
-    system = _FlatEnsemble(mu, float(grid[0]), cfg.params, rng, count)
+    system = init_ensemble(mu, float(grid[0]), cfg.params, rng, count)
     horizon_set = {float(h): i for i, h in enumerate(cfg.horizons)}
     out = np.zeros((count, len(cfg.horizons) + 1))
     for k, dt in enumerate(np.diff(grid)):
@@ -509,18 +516,9 @@ def _survival_batch(cfg: SurvivalConfig, rng: np.random.Generator, count: int) -
         t = float(grid[k + 1])
         if t in horizon_set:
             radius = float(cfg.g(t))
-            local = system.local_positions()
-            inwin = (local >= -radius) & (local <= radius)
-            col = horizon_set[t]
-            hit = np.unique(system.rep[inwin])
-            out[hit, col] = 1.0
-    alive = np.unique(system.rep)
-    out[alive, -1] = 1.0
+            out[:, horizon_set[t]] = system.charged(-radius, radius)
+    out[:, -1] = np.bincount(system.replica, minlength=count) > 0
     return out
-
-
-def _survival_chunk(cfg: SurvivalConfig, seed: int, index: int, count: int) -> np.ndarray:
-    return _survival_batch(cfg, _replica_rng(seed, 0, index), count)
 
 
 def survival_experiment(cfg: SurvivalConfig, seed: int, threads: int = 1) -> SurvivalResult:
@@ -532,16 +530,7 @@ def survival_experiment(cfg: SurvivalConfig, seed: int, threads: int = 1) -> Sur
     window monotonicity transfers to the reported fractions).
     """
     cfg.g.validate(0.0, float(cfg.horizons[-1]))
-    counts = [cfg.batch] * (cfg.replicas // cfg.batch)
-    if cfg.replicas % cfg.batch:
-        counts.append(cfg.replicas % cfg.batch)
-    runner = partial(_survival_chunk, cfg, seed)
-    if threads <= 1:
-        parts = [runner(i, c) for i, c in enumerate(counts)]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(runner, range(len(counts)), counts))
-    table = np.vstack(parts)
+    table = _run_batches(partial(_survival_batch, cfg), cfg.replicas, seed, 0, threads, cfg.batch)
     n = cfg.replicas
     fractions = table[:, :-1].mean(axis=0)
     stderrs = table[:, :-1].std(axis=0, ddof=1) / math.sqrt(n)

@@ -9,6 +9,12 @@ handled the same way (crossing, or a bridge hit against the barrier), with
 absorbed paths frozen in place and reflected paths folded back onto their
 side.  Single-path marginals at grid points are exact; joint laws for the
 reflected coalescing case are grid approximations, refined by the step size.
+
+Independent replicas run as one system: each cluster carries a replica id and
+a position local to its replica, clusters are sorted by (replica, position),
+pairs never merge across replicas and barriers act on local positions.  One
+step over many replicas amortizes the fixed cost of a step, and a system with
+one replica is the plain flow.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import BranchingParams, cumulant
+from .branching import BranchingParams, cumulant, sample_transition
 
 __all__ = [
     "FlowBoundary",
     "PathBundle",
+    "ReplicaFlow",
     "StepFunction",
     "step_positions",
     "suggested_step",
@@ -98,21 +105,30 @@ def step_positions(
     rng: np.random.Generator,
     boundary: FlowBoundary | None = None,
     coalesce: bool = True,
+    replica: np.ndarray | None = None,
 ):
     """Advance one grid step and resolve coalescence.
 
-    ``values`` are the current cluster positions (strictly increasing for
-    distinct clusters); ``frozen`` holds the absorbing barrier a cluster is
-    stuck at, NaN when free.  Returns ``(new_values, new_frozen, cluster_ids)``
-    where ``cluster_ids`` maps each input cluster to its (merged) output
-    cluster index in order.
+    ``values`` are cluster positions local to each cluster's replica, sorted by
+    (``replica``, value) and strictly increasing within a replica; ``replica``
+    holds the replica ids (None: one replica), and pairs never merge across
+    replicas.  ``frozen`` holds the absorbing barrier a cluster is stuck at,
+    NaN when free.  Returns ``(new_values, new_frozen, cluster_ids,
+    new_replica)``: ``cluster_ids`` maps each input cluster to its (merged)
+    output cluster index in order, ``new_replica`` gives each output cluster's
+    replica id.
     """
     k = len(values)
+    if replica is None:
+        replica = np.zeros(k, dtype=np.int64)
     free = np.isnan(frozen)
-    proposals = values.copy()
+    noise = rng.normal(0.0, math.sqrt(dt), int(free.sum()))
+    if len(noise) == k:  # nothing frozen: skip the masked update
+        proposals = values + noise
+    else:
+        proposals = values.copy()
+        proposals[free] += noise
     new_frozen = frozen.copy()
-    if k:
-        proposals[free] = values[free] + rng.normal(0.0, math.sqrt(dt), int(free.sum()))
 
     if boundary is not None and boundary.kind == "reflecting":
         regions = _region_ids(values, boundary.points)
@@ -138,31 +154,30 @@ def step_positions(
         new_frozen[newly] = hit_at[newly]
         proposals[newly] = hit_at[newly]
         proposals[~free] = frozen[~free]
-    else:
-        regions = np.zeros(k, dtype=np.int64)
 
     if not coalesce or k <= 1:
-        return proposals, new_frozen, np.arange(k)
+        return proposals, new_frozen, np.arange(k), replica
 
-    # pair decisions between adjacent clusters, one bridge draw per pair
+    # pair decisions between adjacent clusters of one replica, one bridge draw per pair
     d0 = values[1:] - values[:-1]
     d1 = proposals[1:] - proposals[:-1]
-    both_free = np.isnan(new_frozen[1:]) & np.isnan(new_frozen[:-1])
-    same_region = regions[1:] == regions[:-1] if boundary is not None else np.ones(k - 1, dtype=bool)
+    same = replica[1:] == replica[:-1]
+    free_pair = same & np.isnan(new_frozen[1:]) & np.isnan(new_frozen[:-1])
+    if boundary is not None:
+        free_pair &= regions[1:] == regions[:-1]
     with np.errstate(over="ignore"):
         bridge = np.exp(-d0 * np.maximum(d1, 0.0) / dt)
     merge = np.where(
-        both_free & same_region,
+        free_pair,
         (d1 <= 0.0) | (rng.random(k - 1) < bridge),
-        proposals[1:] == proposals[:-1],
+        same & (proposals[1:] == proposals[:-1]),
     )
 
-    return _resolve_clusters(proposals, new_frozen, merge)
+    return _resolve_clusters(proposals, new_frozen, merge, replica)
 
 
-def _resolve_clusters(proposals: np.ndarray, frozen: np.ndarray, merge: np.ndarray):
-    """Union adjacent merge decisions, set cluster values, repair any inversions."""
-    k = len(proposals)
+def _resolve_clusters(proposals: np.ndarray, frozen: np.ndarray, merge: np.ndarray, replica: np.ndarray):
+    """Union adjacent merge decisions, set cluster values, repair inversions within each replica."""
     while True:
         starts = np.concatenate(([True], ~merge))
         ids = np.cumsum(starts) - 1
@@ -171,15 +186,91 @@ def _resolve_clusters(proposals: np.ndarray, frozen: np.ndarray, merge: np.ndarr
         hi = np.maximum.reduceat(proposals, boundaries)
         baked = np.fmin.reduceat(frozen, boundaries)  # fmin skips NaN
         vals = np.where(np.isnan(baked), 0.5 * (lo + hi), baked)
-        inverted = vals[1:] < vals[:-1]
+        reps = replica[boundaries]
+        inverted = (vals[1:] < vals[:-1]) & (reps[1:] == reps[:-1])
         if not np.any(inverted):
-            new_frozen = baked
-            return vals, new_frozen, ids
+            return vals, baked, ids, reps
         # force-merge offending cluster pairs and resolve again
         bad_pairs = np.flatnonzero(inverted)  # cluster index c and c+1
         pair_index = boundaries[bad_pairs + 1] - 1  # original adjacent pair position
         merge = merge.copy()
         merge[pair_index] = True
+
+
+class ReplicaFlow:
+    """Clusters of ``count`` independent replicas, stepped as one coalescing system.
+
+    Every cluster carries its replica id (0 to ``count - 1``) and a position
+    local to its replica; clusters stay sorted by (replica, position), so one
+    :func:`step_positions` call serves all replicas with their own barriers.
+    Starts that coincide within a replica are one cluster from the start, and
+    an absorbing start on a barrier is frozen there.  Two read-outs are
+    optional: ``mass`` (cluster masses that add on merging and then make one
+    branching transition under ``params`` per step; dead clusters are dropped)
+    and ``member`` (the cluster of each start, for path read-out; only for
+    systems without masses).
+    """
+
+    def __init__(
+        self,
+        positions,
+        replica,
+        count: int,
+        boundary: FlowBoundary | None = None,
+        masses=None,
+        params: BranchingParams | None = None,
+        members: bool = False,
+    ):
+        pos = np.asarray(positions, dtype=float)
+        rep = np.asarray(replica, dtype=np.int64)
+        if boundary is not None and boundary.kind == "reflecting" and np.any(np.isin(pos, boundary.points)):
+            raise ValueError("reflecting start on a barrier has an ambiguous side")
+        # group by replica, then sort each replica: at survival sizes this is
+        # twice as fast as a two-key sort of the whole system
+        order = np.argsort(rep, kind="stable")
+        for seg in np.split(order, np.cumsum(np.bincount(rep, minlength=count))[:-1]):
+            seg[:] = seg[np.argsort(pos[seg], kind="stable")]
+        pos, rep = pos[order], rep[order]
+        first = np.ones(len(pos), dtype=bool)
+        first[1:] = (pos[1:] != pos[:-1]) | (rep[1:] != rep[:-1])
+        cluster = np.cumsum(first) - 1
+        self.count = count
+        self.boundary = boundary
+        self.params = params
+        self.pos = pos[first]
+        self.replica = rep[first]
+        self.frozen = np.full(len(self.pos), np.nan)
+        if boundary is not None and boundary.kind == "absorbing":
+            on_bar = np.isin(self.pos, boundary.points)
+            self.frozen[on_bar] = self.pos[on_bar]
+        self.mass = None
+        if masses is not None:
+            self.mass = np.bincount(cluster, weights=np.asarray(masses, dtype=float)[order], minlength=len(self.pos))
+        self.member = None
+        if members:
+            self.member = np.empty(len(order), dtype=np.int64)
+            self.member[order] = cluster
+
+    def step(self, dt: float, rng: np.random.Generator) -> None:
+        if not len(self.pos):
+            return
+        self.pos, self.frozen, ids, self.replica = step_positions(
+            self.pos, self.frozen, dt, rng, boundary=self.boundary, replica=self.replica
+        )
+        if self.member is not None:
+            self.member = ids[self.member]
+        if self.mass is not None:
+            self.mass = np.bincount(ids, weights=self.mass)
+            if self.params.gamma > 0:
+                self.mass = sample_transition(self.params, dt, self.mass, rng)
+            keep = self.mass > 0
+            self.pos, self.frozen, self.replica = self.pos[keep], self.frozen[keep], self.replica[keep]
+            self.mass = self.mass[keep]
+
+    def charged(self, lo: float, hi: float) -> np.ndarray:
+        """Per replica: whether any cluster sits in the closed window [lo, hi]."""
+        inside = (self.pos >= lo) & (self.pos <= hi)
+        return np.bincount(self.replica[inside], minlength=self.count) > 0
 
 
 @dataclass
@@ -225,32 +316,21 @@ def sample_coalescing_paths(
         raise ValueError("starts must be nondecreasing")
     if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("grid must be strictly increasing starting at 0")
-    if boundary is not None and boundary.kind == "reflecting" and np.any(np.isin(s, boundary.points)):
-        raise ValueError("reflecting start on a barrier has an ambiguous side")
 
     npaths = len(s)
+    flow = ReplicaFlow(s, np.zeros(npaths, dtype=np.int64), 1, boundary=boundary, members=True)
     values = np.empty((npaths, len(times)))
     values[:, 0] = s
     merge_step = np.full(max(npaths - 1, 0), -1, dtype=np.int64)
-    # cluster state: representative per cluster, member map per original path
-    member = np.zeros(npaths, dtype=np.int64)
-    uniq, member = np.unique(s, return_inverse=True)
-    cvals = uniq.astype(float)
-    cfrozen = np.full(len(cvals), np.nan)
-    if boundary is not None and boundary.kind == "absorbing":
-        on_bar = np.isin(cvals, boundary.points)
-        cfrozen[on_bar] = cvals[on_bar]
-    merge_step[member[:-1] == member[1:]] = 0
+    merge_step[flow.member[:-1] == flow.member[1:]] = 0
 
     for step in range(1, len(times)):
-        dt = times[step] - times[step - 1]
-        cvals, cfrozen, ids = step_positions(cvals, cfrozen, dt, rng, boundary=boundary)
-        member = ids[member]
-        values[:, step] = cvals[member]
-        just_merged = (member[:-1] == member[1:]) & (merge_step < 0)
+        flow.step(times[step] - times[step - 1], rng)
+        values[:, step] = flow.pos[flow.member]
+        just_merged = (flow.member[:-1] == flow.member[1:]) & (merge_step < 0)
         merge_step[just_merged] = step
 
-    frozen_at = cfrozen[member]
+    frozen_at = flow.frozen[flow.member]
     return PathBundle(starts=s, grid=times, values=values, merge_step=merge_step, frozen_at=frozen_at)
 
 

@@ -5,12 +5,15 @@ independent replica streams and reports a z-score.  Equality checks pass at
 |z| <= 3; inequality checks pass when the lower-bounded side clears the bound
 minus three pooled standard errors.  Every check is deterministic given
 (config, seed): replica batch i draws from a generator keyed by
-(seed, stream, i), so thread counts and scheduling cannot change results.
+(seed, stream, i), and batches have a fixed composition, so thread counts and
+scheduling cannot change results.
 
-Boundary-free ensembles are evaluated in batches: the replicas of one batch
-evolve as a single flat particle system with replicas shifted apart by a huge
-offset, which leaves them exactly independent (the pair-merge probability
-between replicas underflows to zero) while amortizing the per-step cost.
+Every check runs its replicas in batches.  The replicas of one batch evolve as
+one segmented :class:`~scbm.flow.ReplicaFlow`: each cluster carries its
+replica id, pairs never merge across replicas and barriers act on each
+replica's local positions, so the replicas stay exactly independent while the
+fixed cost of a step is paid once per batch.  The batch size changes speed,
+not the law of a replica (it does change which random numbers a replica draws).
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from functools import partial
 import numpy as np
 from scipy.stats import norm
 
-from .branching import BranchingParams, cumulant, cumulant_limit, sample_entrance_mass, sample_transition
-from .engine import MeasureSpec, atomize_measure, evolve_scbm, init_atoms, occupation_time, window_mass
-from .flow import FlowBoundary, StepFunction, sample_coalescing_paths, step_integral_lebesgue, step_positions
+from .branching import BranchingParams, cumulant, cumulant_limit
+from .engine import MeasureSpec, atomize_measure, init_ensemble
+from .flow import FlowBoundary, ReplicaFlow, StepFunction, step_integral_lebesgue
 
 __all__ = [
     "MCEstimate",
@@ -45,7 +48,6 @@ __all__ = [
     "reflected_laplace_smoke",
 ]
 
-_REPLICA_OFFSET = 1e6  # spatial separation between batched replicas
 _BATCH = 64
 
 
@@ -123,14 +125,12 @@ def _batch_run(batch_fn, seed: int, stream: int, index: int, count: int) -> np.n
     return batch_fn(_replica_rng(seed, stream, index), count)
 
 
-def _mc_batched(batch_fn, n: int, seed: int, stream: int, threads: int = 1, batch: int = _BATCH) -> MCEstimate:
-    """Like :func:`mc_estimate` for functionals that evaluate a whole batch at once.
+def _run_batches(batch_fn, n: int, seed: int, stream: int, threads: int = 1, batch: int = _BATCH) -> np.ndarray:
+    """Evaluate ``n`` replicas with a function that runs a whole batch at once.
 
     Batch i (fixed composition, independent of thread count) uses the stream
-    (seed, stream, i); values are concatenated in batch order.
+    (seed, stream, i); per-replica values are concatenated in batch order.
     """
-    if n < 2:
-        raise ValueError("need at least two replicas")
     counts = [batch] * (n // batch)
     if n % batch:
         counts.append(n % batch)
@@ -140,19 +140,31 @@ def _mc_batched(batch_fn, n: int, seed: int, stream: int, threads: int = 1, batc
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(runner, range(len(counts)), counts))
-    values = np.concatenate(parts)
-    return _estimate_from(values, n, seed)
+    return np.concatenate(parts)
 
+
+def _mc_batched(batch_fn, n: int, seed: int, stream: int, threads: int = 1, batch: int = _BATCH) -> MCEstimate:
+    """Like :func:`mc_estimate` for functionals that evaluate a whole batch at once (see :func:`_run_batches`)."""
+    if n < 2:
+        raise ValueError("need at least two replicas")
+    return _estimate_from(_run_batches(batch_fn, n, seed, stream, threads, batch), n, seed)
+
+
+def _check_step(dt: float) -> None:
+    if not (0 < dt < math.inf):
+        raise ValueError(f"time step must be positive and finite, got {dt}")
 
 
 def _effective_t0(t0: float, first_time: float) -> float:
     # burn-in default: never later than a tenth of the first observation time
     return min(t0, first_time / 10.0)
 
+
 def hybrid_grid(t0: float, t_end: float, dt: float, ratio: float = 1.25) -> np.ndarray:
     """Geometric refinement near ``t0`` easing into uniform steps of ``dt``."""
     if not (0 <= t0 < t_end):
         raise ValueError("need 0 <= t0 < t_end")
+    _check_step(dt)
     times = [t0]
     current = t0
     while current < t_end:
@@ -163,6 +175,7 @@ def hybrid_grid(t0: float, t_end: float, dt: float, ratio: float = 1.25) -> np.n
 
 
 def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
+    _check_step(dt)
     return np.linspace(0.0, t_end, max(2, int(round(t_end / dt)) + 1))
 
 
@@ -184,82 +197,12 @@ def _one_sided_report(label, lhs, rhs, approx=False) -> ComparisonReport:
     return ComparisonReport(label=label, lhs=lhs, rhs=rhs, z_score=z, verdict=verdict, approx=approx)
 
 
-# ---------------------------------------------------------------------------
-# Batched boundary-free ensembles
-# ---------------------------------------------------------------------------
-
-
-class _FlatEnsemble:
-    """Replicated atom systems evolved as one flat coalescing system.
-
-    Replica r lives around r * _REPLICA_OFFSET; merges never cross replicas.
-    """
-
-    def __init__(self, cfg_mu: MeasureSpec, t0: float, params: BranchingParams, rng: np.random.Generator, count: int):
-        self.params = params
-        self.count = count
-        theta = cumulant_limit(params, t0)
-        per = rng.poisson(cfg_mu.total_mass * theta, count)
-        total = int(per.sum())
-        rep = np.repeat(np.arange(count), per)
-        if total:
-            locs = cfg_mu.sample(rng, total)
-            pos = locs + rep * _REPLICA_OFFSET
-            order = np.argsort(pos, kind="stable")
-            self.pos = pos[order]
-            self.rep = rep[order]
-            self.mass = np.asarray(sample_entrance_mass(params, t0, rng, size=total))[order]
-        else:
-            self.pos = np.empty(0)
-            self.rep = np.empty(0, dtype=np.int64)
-            self.mass = np.empty(0)
-        self.frozen = np.full(len(self.pos), np.nan)
-
-    def step(self, dt: float, rng: np.random.Generator) -> None:
-        if not len(self.pos):
-            return
-        self.pos, self.frozen, ids = step_positions(self.pos, self.frozen, dt, rng, boundary=None)
-        self.mass = np.bincount(ids, weights=self.mass)
-        firsts = np.unique(ids, return_index=True)[1]
-        self.rep = self.rep[firsts]
-        if self.params.gamma > 0:
-            self.mass = sample_transition(self.params, dt, self.mass, rng)
-        keep = self.mass > 0
-        self.pos, self.frozen, self.mass, self.rep = (
-            self.pos[keep],
-            self.frozen[keep],
-            self.mass[keep],
-            self.rep[keep],
-        )
-
-    def local_positions(self) -> np.ndarray:
-        return self.pos - self.rep * _REPLICA_OFFSET
-
-    def replica_sums(self, per_atom: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rep, weights=per_atom, minlength=self.count)
-
-
-class _FlatPaths:
-    """Replicated finite path systems (free flow) evolved as one flat bundle."""
-
-    def __init__(self, starts: np.ndarray, rng: np.random.Generator, count: int):
-        self.count = count
-        self.k = len(starts)
-        base = np.concatenate([np.asarray(starts) + r * _REPLICA_OFFSET for r in range(count)])
-        vals, member = np.unique(base, return_inverse=True)
-        self.member = member
-        self.vals = vals.astype(float)
-        self.frozen = np.full(len(self.vals), np.nan)
-
-    def step(self, dt: float, rng: np.random.Generator) -> None:
-        self.vals, self.frozen, ids = step_positions(self.vals, self.frozen, dt, rng, boundary=None)
-        self.member = ids[self.member]
-
-    def finals(self) -> np.ndarray:
-        """Per-replica path values, shape (count, paths-per-replica)."""
-        flat = self.vals[self.member]
-        out = flat.reshape(self.count, self.k)
-        return out - np.arange(self.count)[:, None] * _REPLICA_OFFSET
+def _copies(starts, count: int, boundary: FlowBoundary | None = None, members: bool = False) -> ReplicaFlow:
+    """``count`` replicas of the path system started from ``starts``."""
+    starts = np.asarray(starts, dtype=float)
+    return ReplicaFlow(
+        np.tile(starts, count), np.repeat(np.arange(count), len(starts)), count, boundary=boundary, members=members
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +232,25 @@ class LaplaceDualityConfig:
     rhs_gamma_scale: float = 1.0
 
 
-def _laplace_lhs_batch(cfg: LaplaceDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+def _laplace_lhs_batch(cfg, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None) -> np.ndarray:
+    """exp(-<X_t, h0>) per replica; ``cfg`` is a Laplace or reflected Laplace config."""
     h0 = StepFunction(pairs=cfg.pairs, coefficients=cfg.coefficients)
     t0 = _effective_t0(cfg.t0, cfg.t)
-    system = _FlatEnsemble(cfg.mu, t0, cfg.params, rng, count)
-    grid = hybrid_grid(t0, cfg.t, cfg.dt)
-    for dt in np.diff(grid):
+    system = init_ensemble(cfg.mu, t0, cfg.params, rng, count, boundary=boundary)
+    for dt in np.diff(hybrid_grid(t0, cfg.t, cfg.dt)):
         system.step(float(dt), rng)
-    sums = system.replica_sums(system.mass * h0(system.local_positions()))
-    return np.exp(-sums)
+    return np.exp(-np.bincount(system.replica, weights=system.mass * h0(system.pos), minlength=count))
 
 
-def _laplace_rhs_batch(cfg: LaplaceDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    params = replace(cfg.params, gamma=cfg.params.gamma * cfg.rhs_gamma_scale)
-    starts = np.array(sorted(v for pair in cfg.pairs for v in pair))
-    grid = _uniform_grid(cfg.t, cfg.dt)
-    paths = _FlatPaths(starts, rng, count)
-    for dt in np.diff(grid):
+def _laplace_rhs_batch(
+    cfg, params: BranchingParams, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None
+) -> np.ndarray:
+    """exp(-<mu, u_t(h_t)>) per replica, h_t the step function on the evolved level paths."""
+    starts = sorted(v for pair in cfg.pairs for v in pair)
+    paths = _copies(starts, count, boundary=boundary, members=True)
+    for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
         paths.step(float(dt), rng)
-    finals = paths.finals()
+    finals = paths.pos[paths.member].reshape(count, len(starts))
     out = np.empty(count)
     for r in range(count):
         row = finals[r]
@@ -322,7 +265,8 @@ def _laplace_rhs_batch(cfg: LaplaceDualityConfig, rng: np.random.Generator, coun
 
 def laplace_duality_check(cfg: LaplaceDualityConfig, seed: int, threads: int = 1) -> ComparisonReport:
     lhs = _mc_batched(partial(_laplace_lhs_batch, cfg), cfg.n, seed, stream=0, threads=threads)
-    rhs = _mc_batched(partial(_laplace_rhs_batch, cfg), cfg.n, seed, stream=1, threads=threads)
+    rhs_params = replace(cfg.params, gamma=cfg.params.gamma * cfg.rhs_gamma_scale)
+    rhs = _mc_batched(partial(_laplace_rhs_batch, cfg, rhs_params), cfg.n, seed, stream=1, threads=threads)
     return _equality_report("laplace_duality", lhs, rhs, approx=cfg.params.beta < 1.0)
 
 
@@ -357,12 +301,17 @@ class AbsorbingExtinctionConfig:
         )
 
 
-def _absorbing_lhs(cfg: AbsorbingExtinctionConfig, rng: np.random.Generator) -> float:
-    atoms = atomize_measure(cfg.measure(), cfg.spacing)
-    grid = _uniform_grid(cfg.t, cfg.dt)
-    boundary = FlowBoundary("absorbing", cfg.barriers)
-    final = evolve_scbm(atoms, grid, BranchingParams(gamma=0.0), rng, flow_boundary=boundary)[-1]
-    return 1.0 if window_mass(final, cfg.barriers) == 0.0 else 0.0
+def _absorbed_atoms(measure: MeasureSpec, spacing: float, barriers: tuple[float, float], count: int) -> ReplicaFlow:
+    """Replicas of the atomized measure under absorption (masses stay positive without branching)."""
+    starts = [atom.birth_location for atom in atomize_measure(measure, spacing)]
+    return _copies(starts, count, boundary=FlowBoundary("absorbing", barriers))
+
+
+def _absorbing_lhs(cfg: AbsorbingExtinctionConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    flow = _absorbed_atoms(cfg.measure(), cfg.spacing, cfg.barriers, count)
+    for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
+        flow.step(float(dt), rng)
+    return (~flow.charged(*cfg.barriers)).astype(float)
 
 
 def reflected_gap_vacancy_exact(c: float, t: float) -> float:
@@ -385,7 +334,7 @@ def truncation_escape_bound(margin: float, t: float) -> float:
 
 
 def absorbing_extinction_check(cfg: AbsorbingExtinctionConfig, seed: int, threads: int = 1) -> ComparisonReport:
-    lhs = mc_estimate(partial(_absorbing_lhs, cfg), cfg.n, seed, stream=0, threads=threads)
+    lhs = _mc_batched(partial(_absorbing_lhs, cfg), cfg.n, seed, stream=0, threads=threads)
     rhs = reflected_gap_vacancy_exact(cfg.c, cfg.t)
     return _equality_report("absorbing_extinction", lhs, rhs)
 
@@ -423,38 +372,30 @@ class OccupationDualityConfig:
         )
 
 
-def _occupation_lhs_no_branching(cfg: OccupationDualityConfig, rng: np.random.Generator) -> float:
-    atoms = atomize_measure(cfg.measure(), cfg.spacing)
-    grid = _uniform_grid(cfg.t, cfg.dt)
-    boundary = FlowBoundary("absorbing", cfg.window)
-    snaps = evolve_scbm(atoms, grid, BranchingParams(gamma=0.0), rng, flow_boundary=boundary)
-    _, never = occupation_time(snaps, grid, cfg.window)
-    return 1.0 if never else 0.0
+def _never_charged(flow: ReplicaFlow, grid: np.ndarray, window: tuple[float, float], rng) -> np.ndarray:
+    """Per replica: 1.0 when the window holds no cluster at any grid time."""
+    charged = flow.charged(*window)
+    for dt in np.diff(grid):
+        flow.step(float(dt), rng)
+        charged |= flow.charged(*window)
+    return (~charged).astype(float)
+
+
+def _occupation_lhs_no_branching(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    flow = _absorbed_atoms(cfg.measure(), cfg.spacing, cfg.window, count)
+    return _never_charged(flow, _uniform_grid(cfg.t, cfg.dt), cfg.window, rng)
 
 
 def _occupation_lhs_branch_batch(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    y1, y2 = cfg.window
     t0 = _effective_t0(cfg.t0, cfg.t)
-    system = _FlatEnsemble(cfg.measure(), t0, cfg.params, rng, count)
-    grid = hybrid_grid(t0, cfg.t, cfg.dt)
-    charged = np.zeros(count, dtype=bool)
-
-    def mark():
-        local = system.local_positions()
-        inwin = (local >= y1) & (local <= y2)
-        charged[system.rep[inwin]] = True
-
-    mark()
-    for dt in np.diff(grid):
-        system.step(float(dt), rng)
-        mark()
-    return (~charged).astype(float)
+    system = init_ensemble(cfg.measure(), t0, cfg.params, rng, count)
+    return _never_charged(system, hybrid_grid(t0, cfg.t, cfg.dt), cfg.window, rng)
 
 
 def occupation_duality_check(cfg: OccupationDualityConfig, seed: int, threads: int = 1) -> ComparisonReport:
     rhs = reflected_gap_vacancy_exact(cfg.c, cfg.t)
     if cfg.params.gamma == 0.0:
-        lhs = mc_estimate(partial(_occupation_lhs_no_branching, cfg), cfg.n, seed, stream=0, threads=threads)
+        lhs = _mc_batched(partial(_occupation_lhs_no_branching, cfg), cfg.n, seed, stream=0, threads=threads)
         return _equality_report("occupation_duality_equality", lhs, rhs)
     lhs = _mc_batched(partial(_occupation_lhs_branch_batch, cfg), cfg.n, seed, stream=0, threads=threads)
     return _one_sided_report("occupation_duality_bound", lhs, rhs, approx=cfg.params.beta < 1.0)
@@ -487,16 +428,13 @@ class VacancyBoundConfig:
 
 def _vacancy_lhs_batch(cfg: VacancyBoundConfig, rng: np.random.Generator, count: int) -> np.ndarray:
     t0 = _effective_t0(cfg.t0, cfg.s1)
-    system = _FlatEnsemble(cfg.mu, t0, cfg.params, rng, count)
+    system = init_ensemble(cfg.mu, t0, cfg.params, rng, count)
     grid = hybrid_grid(t0, cfg.s2, cfg.dt)
     charged = np.zeros(count, dtype=bool)
     for k, dt in enumerate(np.diff(grid)):
         system.step(float(dt), rng)
-        t = grid[k + 1]
-        if cfg.s1 < t <= cfg.s2:
-            local = system.local_positions()
-            inwin = (local >= -cfg.a) & (local <= cfg.a)
-            charged[system.rep[inwin]] = True
+        if cfg.s1 < grid[k + 1] <= cfg.s2:
+            charged |= system.charged(-cfg.a, cfg.a)
     return (~charged).astype(float)
 
 
@@ -505,21 +443,12 @@ def _vacancy_rhs_batch(cfg: VacancyBoundConfig, rng: np.random.Generator, count:
     x = np.abs(rng.normal(0.0, math.sqrt(gap_t), count))
     y = np.abs(rng.normal(0.0, math.sqrt(gap_t), count))
     theta = cumulant_limit(cfg.params, cfg.s1)
-    grid = _uniform_grid(cfg.s1, cfg.dt)
-    out = np.empty(count)
-    # pairs are batched through the flat system with per-replica offsets
-    starts = np.empty(2 * count)
-    starts[0::2] = -x - cfg.a + np.arange(count) * _REPLICA_OFFSET
-    starts[1::2] = cfg.a + y + np.arange(count) * _REPLICA_OFFSET
-    vals, member = np.unique(starts, return_inverse=True)
-    frozen = np.full(len(vals), np.nan)
-    for dt in np.diff(grid):
-        vals, frozen, ids = step_positions(vals, frozen, float(dt), rng, boundary=None)
-        member = ids[member]
-    finals = vals[member].reshape(count, 2) - np.arange(count)[:, None] * _REPLICA_OFFSET
-    for r in range(count):
-        out[r] = math.exp(-theta * cfg.mu.mass_in(float(finals[r, 0]), float(finals[r, 1])))
-    return out
+    starts = np.column_stack((-x - cfg.a, cfg.a + y)).ravel()
+    pairs = ReplicaFlow(starts, np.repeat(np.arange(count), 2), count, members=True)
+    for dt in np.diff(_uniform_grid(cfg.s1, cfg.dt)):
+        pairs.step(float(dt), rng)
+    finals = pairs.pos[pairs.member].reshape(count, 2)
+    return np.array([math.exp(-theta * cfg.mu.mass_in(float(lo), float(hi))) for lo, hi in finals])
 
 
 def interval_vacancy_bound_check(cfg: VacancyBoundConfig, seed: int, threads: int = 1) -> ComparisonReport:
@@ -555,35 +484,17 @@ class ReflectedLaplaceConfig:
     dt: float = 5e-3
 
 
-def _reflected_lhs(cfg: ReflectedLaplaceConfig, rng: np.random.Generator) -> float:
-    h0 = StepFunction(pairs=cfg.pairs, coefficients=cfg.coefficients)
-    t0 = _effective_t0(cfg.t0, cfg.t)
-    atoms = init_atoms(cfg.mu, t0, cfg.params, rng)
-    if not atoms:
-        return 1.0
-    grid = hybrid_grid(t0, cfg.t, cfg.dt)
-    boundary = FlowBoundary("absorbing", cfg.barriers)
-    final = evolve_scbm(atoms, grid, cfg.params, rng, flow_boundary=boundary)[-1]
-    return math.exp(-float(np.sum(final.masses * h0(final.locations))))
+def _reflected_lhs(cfg: ReflectedLaplaceConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    return _laplace_lhs_batch(cfg, rng, count, boundary=FlowBoundary("absorbing", cfg.barriers))
 
 
-def _reflected_rhs(cfg: ReflectedLaplaceConfig, rng: np.random.Generator) -> float:
-    starts = sorted(v for pair in cfg.pairs for v in pair)
-    grid = _uniform_grid(cfg.t, cfg.dt)
-    boundary = FlowBoundary("reflecting", cfg.barriers)
-    bundle = sample_coalescing_paths(starts, grid, rng, boundary=boundary)
-    finals = bundle.values[:, -1]
-    pairs_t = tuple((float(finals[2 * j]), float(finals[2 * j + 1])) for j in range(len(cfg.pairs)))
-    sf_t = StepFunction(pairs=pairs_t, coefficients=cfg.coefficients)
-    total = step_integral_lebesgue(cfg.params, cfg.t, sf_t, cfg.mu.intervals)
-    for loc, m in cfg.mu.atoms:
-        total += m * cumulant(cfg.params, cfg.t, sf_t(loc))
-    return math.exp(-total)
+def _reflected_rhs(cfg: ReflectedLaplaceConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    return _laplace_rhs_batch(cfg, cfg.params, rng, count, boundary=FlowBoundary("reflecting", cfg.barriers))
 
 
 def reflected_laplace_smoke(cfg: ReflectedLaplaceConfig, seed: int, threads: int = 1) -> ComparisonReport:
     if any(v in cfg.barriers for pair in cfg.pairs for v in pair):
         raise ValueError("level points must avoid the barriers")
-    lhs = mc_estimate(partial(_reflected_lhs, cfg), cfg.n, seed, stream=0, threads=threads)
-    rhs = mc_estimate(partial(_reflected_rhs, cfg), cfg.n, seed, stream=1, threads=threads)
+    lhs = _mc_batched(partial(_reflected_lhs, cfg), cfg.n, seed, stream=0, threads=threads)
+    rhs = _mc_batched(partial(_reflected_rhs, cfg), cfg.n, seed, stream=1, threads=threads)
     return _equality_report("reflected_laplace_smoke", lhs, rhs, approx=True)

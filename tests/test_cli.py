@@ -38,6 +38,19 @@ expect_domination = true
 """
 
 
+FAST_DUALITY = """
+[run]
+seed = 5
+[scbm-duality]
+laplace_n = 100
+control_n = 100
+absorbing_n = 100
+occupation_n = 100
+vacancy_n = 100
+smoke_n = 20
+"""
+
+
 def _write(tmp_path: Path, text: str) -> str:
     path = tmp_path / "config.ini"
     path.write_text(text, encoding="utf-8")
@@ -100,6 +113,13 @@ class TestCliRuns:
         assert (out1 / "survival.csv").read_bytes() == (out2 / "survival.csv").read_bytes()
         assert (out1 / "survival.svg").read_bytes() == (out2 / "survival.svg").read_bytes()
 
+    def test_duality_thread_count_invariant(self, tmp_path):
+        cfg = _write(tmp_path, FAST_DUALITY)
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        assert main(["scbm-duality", "--config", cfg, "--out", str(out1), "--threads", "1"]) in (0, 3)
+        assert main(["scbm-duality", "--config", cfg, "--out", str(out2), "--threads", "2"]) in (0, 3)
+        assert (out1 / "scbm-duality.csv").read_bytes() == (out2 / "scbm-duality.csv").read_bytes()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = _write(tmp_path, FAST_SURVIVAL)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -135,3 +155,23 @@ class TestCliErrors:
     def test_malformed_line_exits_2(self, tmp_path):
         cfg = _write(tmp_path, "[survival]\nthis line has no equals\n")
         assert main(["survival", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [
+            ("survival", "dt = 0", "dt"),
+            ("survival", "dt = -0.1", "dt"),
+            ("survival", "batch = 0", "batch"),
+            ("survival", "replicas = 1", "replicas"),
+            ("survival", "t0 = 0", "t0"),
+            ("survival", "gamma = 0", "gamma"),
+            ("scbm-duality", "laplace_n = 1", "laplace_n"),
+            ("scbm-duality", "smoke_n = 0", "smoke_n"),
+            ("scbm-duality", "laplace_mu_lo = 5", "scbm-duality"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, line, key):
+        cfg = _write(tmp_path, f"[{command}]\n{line}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -9,10 +9,12 @@ from scipy.stats import norm
 from scbm.branching import BranchingParams, cumulant
 from scbm.flow import (
     FlowBoundary,
+    ReplicaFlow,
     StepFunction,
     sample_coalescing_paths,
     sample_one_sided_reflected,
     step_integral_lebesgue,
+    step_positions,
 )
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
@@ -110,6 +112,59 @@ class TestCoalescingPaths:
             sample_coalescing_paths((0.0,), [0.5, 1.0], np.random.default_rng(0))
         with pytest.raises(ValueError):
             sample_coalescing_paths((1.0, 0.0), [0.0, 1.0], np.random.default_rng(0))
+
+
+class TestReplicaIsolation:
+    """Replicas stacked in one system by replica id stay independent."""
+
+    def test_identical_replicas_never_merge_with_each_other(self):
+        # every replica starts from the same local points under the same
+        # barriers; adjacent replicas' edge clusters sit at equal or inverted
+        # local positions, and frozen clusters share barrier values
+        rng = np.random.default_rng(53)
+        starts = np.array([-0.3, 0.2, 0.6, 1.4])
+        for bnd in (None, FlowBoundary("absorbing", (0.0, 1.0)), FlowBoundary("reflecting", (0.0, 1.0))):
+            flow = ReplicaFlow(np.tile(starts, 8), np.repeat(np.arange(8), 4), 8, boundary=bnd, members=True)
+            for _ in range(200):
+                flow.step(0.01, rng)
+                assert np.array_equal(np.unique(flow.replica), np.arange(8))
+                assert np.array_equal(flow.replica[flow.member], np.repeat(np.arange(8), 4))
+
+    def test_frozen_clusters_of_two_replicas_stay_apart(self):
+        bnd = FlowBoundary("absorbing", (0.0,))
+        values = np.array([0.0, 0.0])
+        rng = np.random.default_rng(0)
+        out = step_positions(values, values.copy(), 0.1, rng, boundary=bnd, replica=np.array([0, 1]))
+        assert np.array_equal(out[0], [0.0, 0.0])
+        assert np.array_equal(out[3], [0, 1])
+
+    def test_barriers_act_on_local_positions(self):
+        rng = np.random.default_rng(59)
+        absorbing = ReplicaFlow(np.full(50, 0.02), np.arange(50), 50, boundary=FlowBoundary("absorbing", (0.0,)))
+        for _ in range(100):
+            absorbing.step(0.01, rng)
+        # every replica starts next to its own barrier: nearly all are frozen at it
+        assert np.sum(absorbing.frozen == 0.0) >= 45
+        assert np.all(absorbing.pos[absorbing.frozen == 0.0] == 0.0)
+
+        starts = np.tile([-0.1, 0.1], 50)
+        bnd = FlowBoundary("reflecting", (0.0,))
+        reflecting = ReplicaFlow(starts, np.repeat(np.arange(50), 2), 50, boundary=bnd, members=True)
+        for _ in range(100):
+            reflecting.step(0.01, rng)
+            paths = reflecting.pos[reflecting.member].reshape(50, 2)
+            assert np.all(paths[:, 0] <= 0.0) and np.all(paths[:, 1] >= 0.0)
+
+    def test_output_replica_is_that_of_the_members(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            count = int(rng.integers(1, 6))
+            replica = np.sort(rng.integers(0, count, 12))
+            values = np.concatenate([np.sort(rng.normal(0.0, 0.3, int(np.sum(replica == r)))) for r in range(count)])
+            new_values, _, ids, new_replica = step_positions(values, np.full(12, np.nan), 0.05, rng, replica=replica)
+            assert np.array_equal(new_replica[ids], replica)
+            for r in range(count):
+                assert np.all(np.diff(new_values[new_replica == r]) > 0)
 
 
 class TestOneSidedReflected:

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from scbm.harness import (
     OccupationDualityConfig,
     ReflectedLaplaceConfig,
     VacancyBoundConfig,
+    _absorbing_lhs,
     _equality_report,
+    _mc_batched,
+    _uniform_grid,
     absorbing_extinction_check,
     hybrid_grid,
     interval_vacancy_bound_check,
@@ -99,6 +104,22 @@ class TestHybridGrid:
         assert np.all(np.diff(g) > 0)
         assert np.max(np.diff(g)) <= 0.05 + 1e-12
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_step_rejected(self, dt):
+        with pytest.raises(ValueError, match="time step"):
+            hybrid_grid(0.01, 2.0, dt)
+
+
+class TestUniformGrid:
+    def test_covers(self):
+        g = _uniform_grid(1.0, 0.01)
+        assert g[0] == 0.0 and g[-1] == 1.0 and len(g) == 101
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_step_rejected(self, dt):
+        with pytest.raises(ValueError, match="time step"):
+            _uniform_grid(1.0, dt)
+
 
 class TestLaplaceDuality:
     def test_zero_coefficients_give_unity(self):
@@ -159,6 +180,20 @@ class TestAbsorbingExtinction:
     def test_deterministic(self):
         cfg = AbsorbingExtinctionConfig(barriers=(0.0, 3.0), c=1.0, t=0.5, n=100)
         assert absorbing_extinction_check(cfg, seed=3) == absorbing_extinction_check(cfg, seed=3)
+
+    def test_batch_size_changes_speed_not_law(self):
+        # a batch of one replica, the default batch and one large batch all
+        # estimate the same vacancy probability
+        cfg = AbsorbingExtinctionConfig(barriers=(0.0, 3.0), c=1.0, t=1.0, n=0)
+        exact = reflected_gap_vacancy_exact(1.0, 1.0)
+        ests = [
+            _mc_batched(partial(_absorbing_lhs, cfg), n, seed=61, stream=0, batch=batch)
+            for batch, n in ((1, 500), (64, 4096), (4096, 4096))
+        ]
+        for est in ests:
+            assert abs(est.mean - exact) <= 3 * est.stderr
+        for a, b in zip(ests, ests[1:] + ests[:1]):
+            assert abs(a.mean - b.mean) <= 3 * math.hypot(a.stderr, b.stderr)
 
 
 class TestOccupationDuality:
