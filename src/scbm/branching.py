@@ -199,7 +199,7 @@ def sample_entrance_mass(params: BranchingParams, r: float, rng: np.random.Gener
 
 
 def _compound_step(theta: float, x, beta: float, rng: np.random.Generator):
-    """One exact-in-law transition step via the compound-Poisson decomposition."""
+    """One transition at extinction rate ``theta`` = u_t(inf) via the compound-Poisson decomposition."""
     xarr = np.asarray(x, dtype=float)
     counts = rng.poisson(xarr * theta)
     if beta == 1.0:
@@ -215,20 +215,19 @@ def _compound_step(theta: float, x, beta: float, rng: np.random.Generator):
     return out.reshape(counts.shape)
 
 
-def sample_transition(params: BranchingParams, t: float, x, rng: np.random.Generator, size=None, substeps: int = 1):
+def sample_transition(params: BranchingParams, t: float, x, rng: np.random.Generator, size=None):
     """Draw from the time-t transition law started at mass ``x``.
 
     Exact for beta = 1 (Poisson number of exponential fragments, i.e. the
     Poisson-gamma mixture whose Laplace transform reproduces exp(-x u_t(z))).
-    For beta < 1 the same decomposition runs with table-sampled fragments over
-    ``substeps`` chained sub-intervals; results are approximate at the table
-    tolerance.  ``x`` may be a scalar or array; with scalar ``x``, ``size``
-    requests that many independent draws.
+    For beta < 1 the same decomposition runs with table-sampled fragments;
+    results are approximate at the table tolerance.  One call covers any
+    ``t``: the decomposition holds for every time, and the fragment count
+    Poisson(x u_t(inf)) falls as ``t`` grows.  ``x`` may be a scalar or
+    array; with scalar ``x``, ``size`` requests that many independent draws.
     """
     if t <= 0:
         raise ValueError(f"time must be > 0, got {t}")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     scalar = np.isscalar(x) and size is None
     if np.isscalar(x):
         xarr = np.full(1 if size is None else size, float(x))
@@ -239,11 +238,7 @@ def sample_transition(params: BranchingParams, t: float, x, rng: np.random.Gener
     if params.gamma == 0.0:
         out = xarr.copy()
     else:
-        dt = t / substeps
-        theta = cumulant_limit(params, dt)
-        out = xarr
-        for _ in range(substeps):
-            out = _compound_step(theta, out, params.beta, rng)
+        out = _compound_step(cumulant_limit(params, t), xarr, params.beta, rng)
     return float(out[0]) if scalar else out
 
 

@@ -77,6 +77,12 @@ def _stream(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
 
 
+def _require(section: str, key: str, ok: bool, need: str) -> None:
+    """Raise a config error naming ``key`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"bad value for {key!r} in section [{section}]: need {need}")
+
+
 def _params_from(settings, gamma_key="gamma", beta_key="beta") -> BranchingParams:
     try:
         return BranchingParams(gamma=settings[gamma_key], beta=settings[beta_key])
@@ -104,12 +110,25 @@ VERIFY_SCHEMA = {
 }
 
 
+def _verify_cases(spec: str) -> list[tuple[int, int]]:
+    """Parse 'MxN,MxN,...' into particle-count pairs, naming the key on error."""
+    cases = []
+    for case in spec.split(","):
+        m_str, _, n_str = case.strip().partition("x")
+        try:
+            m, n = int(m_str), int(n_str)
+        except ValueError:
+            m = n = 0
+        need = f"comma-separated MxN with M, N >= 1, got {case.strip()!r}"
+        _require("verify-duality", "cases", m >= 1 and n >= 1, need)
+        cases.append((m, n))
+    return cases
+
+
 def _run_verify_duality(settings, seed, threads):
     barriers = (settings["barrier_lo"], settings["barrier_hi"])
     rows, failed = [], False
-    for case in settings["cases"].split(","):
-        m_str, _, n_str = case.strip().partition("x")
-        m, n = int(m_str), int(n_str)
+    for m, n in _verify_cases(settings["cases"]):
         residual = check_generator_duality(m, n, barriers=barriers, radius=settings["radius"])
         ok = residual <= settings["residual_tol"]
         failed |= not ok
@@ -279,8 +298,12 @@ def _report_row(seed, report, extra_flag=""):
 def _duality_configs(settings):
     """Every scbm-duality check config, built and validated before any check runs."""
     for key in DUALITY_SCHEMA:
-        if key.endswith("_n") and settings[key] < 2:
-            raise ConfigError(f"bad value for {key!r} in section [scbm-duality]: need at least two replicas")
+        if key.endswith("_n"):
+            _require("scbm-duality", key, settings[key] >= 2, "at least two replicas")
+    for key in ("laplace_t", "absorbing_t", "occupation_t", "vacancy_s1"):
+        _require("scbm-duality", key, 0 < settings[key] < math.inf, "a positive finite time")
+    s1, s2 = settings["vacancy_s1"], settings["vacancy_s2"]
+    _require("scbm-duality", "vacancy_s2", s1 < s2 < math.inf, "a finite time above vacancy_s1")
     params = _params_from(settings)
     try:
         lap = LaplaceDualityConfig(
@@ -415,6 +438,14 @@ def _run_integral_test(settings, seed, threads):
         g = parse_growth(settings["g"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    section = "integral-test"
+    _require(section, "g", g(1.0) > 0, "a growth function positive at time 1")
+    _require(section, "horizon", 1 < settings["horizon"] < math.inf, "a finite horizon > 1")
+    _require(section, "series_n", settings["series_n"] >= 1, "at least one term")
+    _require(section, "delta", 0.5 < settings["delta"] < 1, "delta in (1/2, 1)")
+    _require(section, "seq_n", settings["seq_n"] >= 0, "seq_n >= 0")
+    _require(section, "block_n", settings["block_n"] >= 2, "at least two replicas")
+    _require(section, "envelope_eps", 0 < settings["envelope_eps"] < 0.5, "envelope_eps in (0, 1/2)")
 
     diag = integral_partial(g, params.beta, settings["horizon"])
     rows.append(_row("integral-test", seed, "", "integral_partial", g.label, settings["horizon"], diag.value, "", diag.classification))

@@ -515,8 +515,10 @@ def _survival_batch(cfg: SurvivalConfig, rng: np.random.Generator, count: int) -
         system.step(float(dt), rng)
         t = float(grid[k + 1])
         if t in horizon_set:
+            system.observe(rng)
             radius = float(cfg.g(t))
             out[:, horizon_set[t]] = system.charged(-radius, radius)
+    system.observe(rng)
     out[:, -1] = np.bincount(system.replica, minlength=count) > 0
     return out
 

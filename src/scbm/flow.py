@@ -205,10 +205,18 @@ class ReplicaFlow:
     :func:`step_positions` call serves all replicas with their own barriers.
     Starts that coincide within a replica are one cluster from the start, and
     an absorbing start on a barrier is frozen there.  Two read-outs are
-    optional: ``mass`` (cluster masses that add on merging and then make one
-    branching transition under ``params`` per step; dead clusters are dropped)
-    and ``member`` (the cluster of each start, for path read-out; only for
-    systems without masses).
+    optional: ``mass`` (cluster masses under ``params``) and ``member`` (the
+    cluster of each start, for path read-out; only for systems without
+    masses).
+
+    Masses are sampled at observation time.  Positions never depend on
+    masses, and by the branching property the mass of a merged cluster at a
+    later time is one transition from the sum of its members' masses, so
+    :meth:`step` only moves positions, adds the masses of merged clusters and
+    accumulates the elapsed time; :meth:`observe` then makes one branching
+    transition over that time and drops dead clusters.  Call it right before
+    reading ``mass`` or :meth:`charged`.  Until then clusters that have died
+    since the last observation ride along in the flow.
     """
 
     def __init__(
@@ -244,6 +252,7 @@ class ReplicaFlow:
             on_bar = np.isin(self.pos, boundary.points)
             self.frozen[on_bar] = self.pos[on_bar]
         self.mass = None
+        self.pending = 0.0  # time elapsed since the masses were last sampled
         if masses is not None:
             self.mass = np.bincount(cluster, weights=np.asarray(masses, dtype=float)[order], minlength=len(self.pos))
         self.member = None
@@ -252,6 +261,9 @@ class ReplicaFlow:
             self.member[order] = cluster
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
+        """Move the clusters over ``dt``; merged clusters add their (unsampled) masses."""
+        if self.mass is not None:
+            self.pending += dt
         if not len(self.pos):
             return
         self.pos, self.frozen, ids, self.replica = step_positions(
@@ -261,14 +273,26 @@ class ReplicaFlow:
             self.member = ids[self.member]
         if self.mass is not None:
             self.mass = np.bincount(ids, weights=self.mass)
-            if self.params.gamma > 0:
-                self.mass = sample_transition(self.params, dt, self.mass, rng)
-            keep = self.mass > 0
-            self.pos, self.frozen, self.replica = self.pos[keep], self.frozen[keep], self.replica[keep]
-            self.mass = self.mass[keep]
+
+    def observe(self, rng: np.random.Generator) -> None:
+        """Sample the masses over the time stepped since the last observation; drop dead clusters."""
+        if self.mass is None or self.pending == 0.0:
+            return
+        if self.params.gamma > 0 and len(self.mass):
+            self.mass = sample_transition(self.params, self.pending, self.mass, rng)
+        self.pending = 0.0
+        keep = self.mass > 0
+        self.pos, self.frozen, self.replica = self.pos[keep], self.frozen[keep], self.replica[keep]
+        self.mass = self.mass[keep]
 
     def charged(self, lo: float, hi: float) -> np.ndarray:
-        """Per replica: whether any cluster sits in the closed window [lo, hi]."""
+        """Per replica: whether any cluster sits in the closed window [lo, hi].
+
+        With masses this needs a prior :meth:`observe`: a cluster whose mass
+        is pending may be dead.
+        """
+        if self.pending:
+            raise RuntimeError("masses are pending: call observe() before charged()")
         inside = (self.pos >= lo) & (self.pos <= hi)
         return np.bincount(self.replica[inside], minlength=self.count) > 0
 

@@ -239,6 +239,7 @@ def _laplace_lhs_batch(cfg, rng: np.random.Generator, count: int, boundary: Flow
     system = init_ensemble(cfg.mu, t0, cfg.params, rng, count, boundary=boundary)
     for dt in np.diff(hybrid_grid(t0, cfg.t, cfg.dt)):
         system.step(float(dt), rng)
+    system.observe(rng)
     return np.exp(-np.bincount(system.replica, weights=system.mass * h0(system.pos), minlength=count))
 
 
@@ -246,7 +247,7 @@ def _laplace_rhs_batch(
     cfg, params: BranchingParams, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None
 ) -> np.ndarray:
     """exp(-<mu, u_t(h_t)>) per replica, h_t the step function on the evolved level paths."""
-    starts = sorted(v for pair in cfg.pairs for v in pair)
+    starts = [v for pair in cfg.pairs for v in pair]  # pair order; the flow sorts and maps members
     paths = _copies(starts, count, boundary=boundary, members=True)
     for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
         paths.step(float(dt), rng)
@@ -373,10 +374,11 @@ class OccupationDualityConfig:
 
 
 def _never_charged(flow: ReplicaFlow, grid: np.ndarray, window: tuple[float, float], rng) -> np.ndarray:
-    """Per replica: 1.0 when the window holds no cluster at any grid time."""
+    """Per replica: 1.0 when the window holds no live cluster at any grid time."""
     charged = flow.charged(*window)
     for dt in np.diff(grid):
         flow.step(float(dt), rng)
+        flow.observe(rng)
         charged |= flow.charged(*window)
     return (~charged).astype(float)
 
@@ -434,6 +436,7 @@ def _vacancy_lhs_batch(cfg: VacancyBoundConfig, rng: np.random.Generator, count:
     for k, dt in enumerate(np.diff(grid)):
         system.step(float(dt), rng)
         if cfg.s1 < grid[k + 1] <= cfg.s2:
+            system.observe(rng)
             charged |= system.charged(-cfg.a, cfg.a)
     return (~charged).astype(float)
 

@@ -205,6 +205,21 @@ class TestTransitionSampler:
             se = vals.std(ddof=1) / math.sqrt(n)
             assert abs(vals.mean() - target) <= 4 * se
 
+    @pytest.mark.parametrize("lam, n", [(1.0, 40_000), (1e2, 20_000), (1e4, 1_000)])
+    def test_beta_half_laplace_identity_across_fragment_counts(self, lam, n):
+        # lambda = x u_t(inf) is the mean fragment count of one draw; with x = 1
+        # and u_t(inf) = 9 / t^2 at gamma = 1, beta = 1/2, t sets lambda
+        x, t = 1.0, 3.0 / math.sqrt(lam)
+        assert x * cumulant_limit(P_HALF, t) == pytest.approx(lam)
+        rng = np.random.default_rng(29)
+        chunk = min(n, 100)  # bounds the fragments held at once
+        draws = np.concatenate([sample_transition(P_HALF, t, x, rng, size=chunk) for _ in range(n // chunk)])
+        for z in (0.5, 2.0):
+            vals = np.exp(-z * draws)
+            target = math.exp(-x * cumulant(P_HALF, t, z))
+            se = vals.std(ddof=1) / math.sqrt(n)
+            assert abs(vals.mean() - target) <= 3 * se
+
     def test_beta_half_flagged_approximate(self):
         assert not P_HALF.exact
         assert P21.exact

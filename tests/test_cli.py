@@ -131,6 +131,32 @@ class TestCliRuns:
         assert ",99," in b
 
 
+FAST_SURVIVAL_HALF = """
+[run]
+seed = 13
+[survival]
+beta = 0.5
+truncation = 1
+t0 = 0.05
+horizons = 0.5,1
+replicas = 8
+batch = 4
+"""
+
+
+class TestCliBetaHalf:
+    def test_survival_runs_through_engine_flagged_approx(self, tmp_path):
+        cfg = _write(tmp_path, FAST_SURVIVAL_HALF)
+        out = tmp_path / "out"
+        assert main(["survival", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "survival.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            fields = row.split(",")
+            assert 0.0 <= float(fields[6]) <= 1.0
+            assert "approx" in fields[8].split(";")
+
+
 class TestCliErrors:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[survival]\nwidgets = 3\n")
@@ -168,6 +194,13 @@ class TestCliErrors:
             ("scbm-duality", "laplace_n = 1", "laplace_n"),
             ("scbm-duality", "smoke_n = 0", "smoke_n"),
             ("scbm-duality", "laplace_mu_lo = 5", "scbm-duality"),
+            ("scbm-duality", "laplace_t = 0", "laplace_t"),
+            ("scbm-duality", "vacancy_s1 = 3\nvacancy_s2 = 2", "vacancy_s1"),
+            ("scbm-duality", "vacancy_s2 = 1", "vacancy_s2"),
+            ("verify-duality", "cases = 1x", "cases"),
+            ("verify-duality", "cases = 2x2,0x1", "cases"),
+            ("integral-test", "horizon = 0.5", "horizon"),
+            ("integral-test", "delta = 1", "delta"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, line, key):

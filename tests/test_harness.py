@@ -139,6 +139,13 @@ class TestLaplaceDuality:
         rep = laplace_duality_check(LAPLACE_BASE, seed=101)
         assert rep.verdict == "consistent", f"z={rep.z_score}"
 
+    def test_overlapping_pairs_keep_their_grouping(self):
+        # the level paths of each pair are read back in pair order, not
+        # regrouped from the sorted endpoints
+        cfg = replace(LAPLACE_BASE, t=0.2, pairs=((-1.5, 0.5), (-0.5, 1.5)), coefficients=(1.0, 1.0), n=2000)
+        rep = laplace_duality_check(cfg, seed=107)
+        assert abs(rep.z_score) < 3.0, f"z={rep.z_score}"
+
     def test_negative_control_detected(self):
         cfg = replace(LAPLACE_BASE, n=20_000, rhs_gamma_scale=1.2)
         rep = laplace_duality_check(cfg, seed=103)
