@@ -110,25 +110,38 @@ VERIFY_SCHEMA = {
 }
 
 
-def _verify_cases(spec: str) -> list[tuple[int, int]]:
-    """Parse 'MxN,MxN,...' into particle-count pairs, naming the key on error."""
+def _verify_settings(settings) -> list[tuple[int, int]]:
+    """Check the [verify-duality] values, naming the key at fault; parse 'MxN,MxN,...' into particle counts."""
+    section = "verify-duality"
+    lo, hi = settings["barrier_lo"], settings["barrier_hi"]
+    _require(section, "barrier_lo", lo.is_integer(), "an integer barrier")
+    _require(section, "barrier_hi", hi.is_integer() and hi - lo >= 2, "an integer barrier at least 2 above barrier_lo")
+    _require(section, "radius", 1 <= settings["radius"] < math.inf, "a finite radius >= 1, the barrier margin")
+    for key in ("residual_tol", "array_tol", "tv_tol", "budget_tol"):
+        _require(section, key, 0 < settings[key] < math.inf, "a positive finite tolerance")
+    _require(section, "array_times", all(0 <= t < math.inf for t in settings["array_times"]), "finite times >= 0")
+    for key, lattice, offset in (("array_x", "integers", 0.0), ("array_y", "half-integers", 0.5)):
+        v = settings[key]
+        ok = bool(v) and list(v) == sorted(v) and all(p % 1 == offset for p in v)
+        _require(section, key, ok, f"nondecreasing {lattice}")
     cases = []
-    for case in spec.split(","):
+    for case in settings["cases"].split(","):
         m_str, _, n_str = case.strip().partition("x")
         try:
             m, n = int(m_str), int(n_str)
         except ValueError:
             m = n = 0
         need = f"comma-separated MxN with M, N >= 1, got {case.strip()!r}"
-        _require("verify-duality", "cases", m >= 1 and n >= 1, need)
+        _require(section, "cases", m >= 1 and n >= 1, need)
         cases.append((m, n))
     return cases
 
 
 def _run_verify_duality(settings, seed, threads):
+    cases = _verify_settings(settings)
     barriers = (settings["barrier_lo"], settings["barrier_hi"])
     rows, failed = [], False
-    for m, n in _verify_cases(settings["cases"]):
+    for m, n in cases:
         residual = check_generator_duality(m, n, barriers=barriers, radius=settings["radius"])
         ok = residual <= settings["residual_tol"]
         failed |= not ok
@@ -143,8 +156,9 @@ def _run_verify_duality(settings, seed, threads):
         res = array_law_exact(len(x0), len(y0), x0, y0, barriers, t, tol=settings["array_tol"])
         ok = res.tv_distance <= settings["tv_tol"] and res.error_budget <= settings["budget_tol"]
         failed |= not ok
-        rows.append(_row("verify-duality", seed, "", "array_tv", "m2n2", t, res.tv_distance, "", "pass" if ok else "fail"))
-        rows.append(_row("verify-duality", seed, "", "array_budget", "m2n2", t, res.error_budget, "", ""))
+        shape = f"m{len(x0)}n{len(y0)}"
+        rows.append(_row("verify-duality", seed, "", "array_tv", shape, t, res.tv_distance, "", "pass" if ok else "fail"))
+        rows.append(_row("verify-duality", seed, "", "array_budget", shape, t, res.error_budget, "", ""))
     return rows, failed, None
 
 
@@ -540,22 +554,28 @@ def _run_survival(settings, seed, threads):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    try:
-        cfgs = [
-            SurvivalConfig(
-                params=params,
-                g=g,
-                truncation=settings["truncation"],
-                horizons=tuple(settings["horizons"]),
-                replicas=settings["replicas"],
-                t0=settings["t0"],
-                dt=settings["dt"],
-                batch=settings["batch"],
-            )
-            for g in [g_main] + ([g_alt] if g_alt is not None else [])
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"bad value in section [survival]: {exc}") from exc
+    h = settings["horizons"]
+    _require("survival", "gamma", params.gamma > 0, "gamma > 0: survival ensembles start from the entrance law")
+    _require("survival", "truncation", 0 <= settings["truncation"] < math.inf, "a finite truncation >= 0")
+    ok = bool(h) and 0 < h[0] and h[-1] < math.inf and all(a < b for a, b in zip(h, h[1:]))
+    _require("survival", "horizons", ok, "strictly increasing positive finite horizons")
+    _require("survival", "replicas", settings["replicas"] >= 2, "at least two replicas")
+    _require("survival", "batch", settings["batch"] >= 1, "batch >= 1")
+    for key in ("dt", "t0"):
+        _require("survival", key, 0 < settings[key] < math.inf, "a positive finite time")
+    cfgs = [
+        SurvivalConfig(
+            params=params,
+            g=g,
+            truncation=settings["truncation"],
+            horizons=tuple(h),
+            replicas=settings["replicas"],
+            t0=settings["t0"],
+            dt=settings["dt"],
+            batch=settings["batch"],
+        )
+        for g in [g_main] + ([g_alt] if g_alt is not None else [])
+    ]
 
     results = []
     for cfg in cfgs:

@@ -71,12 +71,6 @@ class IntervalPartition:
     def representatives(self) -> tuple[int, ...]:
         return tuple(start for start, _ in self.blocks)
 
-    def same_block(self, i: int, j: int) -> bool:
-        for start, stop in self.blocks:
-            if start <= i <= stop:
-                return start <= j <= stop
-        raise IndexError(i)
-
 
 @dataclass(frozen=True)
 class LatticeState:
@@ -134,7 +128,8 @@ class BoundarySpec:
 FREE = BoundarySpec("free")
 
 
-def _runs(positions: Sequence[float]) -> IntervalPartition:
+def _blocks_of(positions: Sequence[float]) -> tuple[tuple[int, int], ...]:
+    """Maximal runs of equal positions, as inclusive (start, stop) index ranges."""
     blocks = []
     start = 0
     for i in range(1, len(positions)):
@@ -143,7 +138,7 @@ def _runs(positions: Sequence[float]) -> IntervalPartition:
             start = i
     if positions:
         blocks.append((start, len(positions) - 1))
-    return IntervalPartition(tuple(blocks))
+    return tuple(blocks)
 
 
 def coalesce_state(positions: Sequence[float], lattice: str = INTEGERS) -> LatticeState:
@@ -151,7 +146,7 @@ def coalesce_state(positions: Sequence[float], lattice: str = INTEGERS) -> Latti
     pos = tuple(float(v) for v in positions)
     if any(a > b for a, b in zip(pos, pos[1:])):
         raise ValueError(f"positions must be nondecreasing, got {positions}")
-    return LatticeState(lattice=lattice, positions=pos, partition=_runs(pos))
+    return LatticeState(lattice=lattice, positions=pos, partition=IntervalPartition(_blocks_of(pos)))
 
 
 def partition_project(state: LatticeState) -> tuple[float, ...]:
@@ -235,16 +230,29 @@ def simulate_walk(boundary: BoundarySpec, init: LatticeState, t: float, rng: np.
         # all moves carry equal rate 1/2: pick uniformly
         new, _ = moves[rng.integers(len(moves))]
         positions = new
-        blocks = _runs(new).blocks
+        blocks = _blocks_of(new)
     return LatticeState(lattice=init.lattice, positions=positions, partition=IntervalPartition(blocks))
 
 
+def _pattern_codes(xs, ys) -> np.ndarray:
+    """Slot of each point among nondecreasing levels: the one crossing-array encoder.
+
+    Row i of the crossing array has entry j = 1 iff y_j < x_i <= y_{j+1}, so it
+    is one-hot in column slot_i = #{j : y_j < x_i} - 1 when that lies in
+    0..n-2 and empty otherwise; exact for tied levels too.  Broadcasts over
+    leading axes: ``xs`` (..., m), ``ys`` (..., n) -> (..., m).
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    return np.count_nonzero(y[..., None, :] < x[..., :, None], axis=-1) - 1
+
+
 def indicator_array(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
-    """Binary m x (n-1) array with entry (i, j) = 1 iff y_j < x_i <= y_{j+1}."""
+    """Binary m x (n-1) array with entry (i, j) = 1 iff y_j < x_i <= y_{j+1}: the one-hot view of the slots."""
     y = np.asarray(ys, dtype=float)
     if y.ndim != 1 or len(y) < 2:
         raise ValueError("ys must hold at least two ordered values")
-    if np.any(np.diff(y) <= 0):
-        raise ValueError("ys must be strictly increasing")
-    x = np.asarray(xs, dtype=float)
-    return ((y[:-1][None, :] < x[:, None]) & (x[:, None] <= y[1:][None, :])).astype(int)
+    if np.any(np.diff(y) < 0):
+        raise ValueError("ys must be nondecreasing")
+    slots = _pattern_codes(xs, y)
+    return (slots[:, None] == np.arange(len(y) - 1)).astype(int)

@@ -10,17 +10,24 @@ truncation error, and checks two facts exactly:
 * equality in law of the forward array (absorbed walk against fixed levels)
   and the backward array (fixed points against the reflected walk), as a
   total-variation distance with an explicit error budget.
+
+Both read the crossing array through one encoder, ``lattice._pattern_codes``:
+the slot of each point among the levels, #{j : y_j < x_i} - 1, one-hot in
+row i when it lies in 0..n-2 and an empty row otherwise.  The array laws are
+indexed by its bit-packed view, the generator identity by one base-n digit
+per particle over a slot table built once per case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import stats
 
-from .lattice import BoundarySpec, state_moves
+from .lattice import BoundarySpec, _blocks_of, _pattern_codes, state_moves
 
 __all__ = [
     "RateMatrix",
@@ -32,6 +39,8 @@ __all__ = [
     "array_law_exact",
     "window_radius",
 ]
+
+_CHUNK_CELLS = 1 << 17  # dense residual cells summed per chunk of x states: 1 MB
 
 
 @dataclass(frozen=True)
@@ -67,29 +76,19 @@ class TransientLaw:
 
 
 def _sites(window: tuple[float, float], lattice: str) -> list[float]:
-    lo, hi = window
-    if lattice == "integers":
-        return [float(v) for v in range(int(np.ceil(lo)), int(np.floor(hi)) + 1)]
-    first = np.floor(lo) + 0.5
-    if first < lo:
-        first += 1.0
-    out = []
-    v = first
-    while v <= hi:
-        out.append(float(v))
-        v += 1.0
-    return out
+    off = 0.5 if lattice == "half_integers" else 0.0
+    return [v + off for v in range(math.ceil(window[0] - off), math.floor(window[1] - off) + 1)]
 
 
-def _blocks_of(positions: tuple[float, ...]) -> tuple[tuple[int, int], ...]:
-    blocks = []
-    start = 0
-    for i in range(1, len(positions)):
-        if positions[i] != positions[start]:
-            blocks.append((start, i - 1))
-            start = i
-    blocks.append((start, len(positions) - 1))
-    return tuple(blocks)
+def _rows_and_rates(boundary: BoundarySpec, states):
+    """Each state followed by its move targets, with the source index and the generator's rate of each."""
+    rows, src, rates = [], [], []
+    for i, s in enumerate(states):
+        moves, outflow = state_moves(boundary, s, _blocks_of(s))
+        rows += [s] + [new for new, _ in moves]
+        src += [i] * (1 + len(moves))
+        rates += [-outflow] + [rate for _, rate in moves]
+    return np.array(rows), np.array(src), np.array(rates)
 
 
 def build_generator(boundary: BoundarySpec, m: int, window: tuple[float, float]) -> RateMatrix:
@@ -103,18 +102,12 @@ def build_generator(boundary: BoundarySpec, m: int, window: tuple[float, float])
         raise ValueError("window is empty")
     states = tuple(combinations_with_replacement(sites, m))
     index = {s: i for i, s in enumerate(states)}
-    ns = len(states)
-    rates = np.zeros((ns, ns))
-    leak = np.zeros(ns)
-    for i, s in enumerate(states):
-        moves, outflow = state_moves(boundary, s, _blocks_of(s))
-        rates[i, i] = -outflow
-        for new, rate in moves:
-            j = index.get(new)
-            if j is None:
-                leak[i] += rate
-            else:
-                rates[i, j] += rate
+    rows, src, row_rate = _rows_and_rates(boundary, states)
+    dest = np.array([index.get(tuple(r), -1) for r in rows.tolist()])
+    inside = dest >= 0
+    rates = np.zeros((len(states), len(states)))
+    np.add.at(rates, (src[inside], dest[inside]), row_rate[inside])
+    leak = np.bincount(src[~inside], row_rate[~inside], minlength=len(states))
     return RateMatrix(boundary=boundary, lattice=lattice, states=states, rates=rates, leak=leak)
 
 
@@ -153,23 +146,19 @@ def window_radius(t: float, particles: int, tol: float) -> int:
     the particles leaves a margin of W by time t is at most
     particles * P(Poisson(t) >= W).
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     w = 1
     while particles * stats.poisson.sf(w - 1, t) >= tol / 10.0:
         w += 1
     return w
 
 
-def _pattern_codes(x: tuple[float, ...], ymat: np.ndarray) -> np.ndarray:
-    """Bit-pack the m x (n-1) crossing indicators of points x against rows of ymat."""
-    n = ymat.shape[1]
-    codes = np.zeros(len(ymat), dtype=np.int64)
-    bit = 0
-    for xi in x:
-        for j in range(n - 1):
-            hit = (ymat[:, j] < xi) & (xi <= ymat[:, j + 1])
-            codes |= hit.astype(np.int64) << bit
-            bit += 1
-    return codes
+def _bit_codes(slots: np.ndarray, n: int) -> np.ndarray:
+    """Bit-packed crossing array: particle i sets bit i(n-1) + slot_i when its row is not empty."""
+    valid = (slots >= 0) & (slots <= n - 2)
+    shift = np.where(valid, np.arange(slots.shape[-1]) * (n - 1) + slots, 0)
+    return np.where(valid, np.left_shift(1, shift, dtype=np.int64), 0).sum(axis=-1)
 
 
 def check_generator_duality(
@@ -189,6 +178,13 @@ def check_generator_duality(
     the indicator basis means accumulating signed rates per array pattern,
     which covers all 2^(m(n-1)) basis functions at once.
 
+    Each row of the array is one-hot or empty, so a pattern is indexed by one
+    base-n digit per particle, (slot_i + 1) n^i with digit 0 for an empty
+    row: n^m cells per (x, y) pair, one-to-one with the reachable patterns.
+    The digits of every site an x particle can reach, against every y state
+    and every y-move target, are tabulated once; the signed rates of a chunk
+    of x states then go into one ``np.bincount`` over (x, y, pattern).
+
     ``negative_control=True`` replaces the reflected generator by a second
     absorbed one (inert on the half-integer lattice), which must break the
     identity.
@@ -196,47 +192,39 @@ def check_generator_duality(
     a, b = barriers
     if window is None:
         window = (a - radius, b + radius)
-    absorbed = BoundarySpec("absorbing", barriers)
-    ycontrol = BoundarySpec("absorbing", barriers) if negative_control else BoundarySpec("reflecting", barriers)
-
+    sites = np.array(_sites((window[0] - 1.0, window[1] + 1.0), "integers"))
     x_states = tuple(combinations_with_replacement(_sites(window, "integers"), m))
     y_states = tuple(combinations_with_replacement(_sites(window, "half_integers"), n))
-    ymat = np.array(y_states)
-    ny = len(y_states)
-    npat = 1 << (m * (n - 1))
-    rows = np.arange(ny)
+    nx, ny, npat = len(x_states), len(y_states), n**m
 
-    # precompute reflected moves: full position rows per neighbor slot
-    kmax = 2 * n
-    yneigh = np.zeros((ny, kmax, n))
-    yvalid = np.zeros((ny, kmax), dtype=bool)
-    yout = np.zeros(ny)
-    for i, ys in enumerate(y_states):
-        moves, outflow = state_moves(ycontrol, ys, _blocks_of(ys))
-        yout[i] = outflow
-        for k, (new, _) in enumerate(moves):
-            yneigh[i, k] = new
-            yvalid[i, k] = True
+    # absorbed x states and their moves as site indices; reflected y states and
+    # their moves as level rows, whose rates enter the residual with sign -1
+    x_rows, x_src, x_rate = _rows_and_rates(BoundarySpec("absorbing", barriers), x_states)
+    x_rows = (x_rows - sites[0]).astype(np.intp)
+    x_first = np.searchsorted(x_src, np.arange(nx + 1))  # row of each x state itself; nx closes the last
+    y_kind = "absorbing" if negative_control else "reflecting"
+    y_rows, y_src, y_rate = _rows_and_rates(BoundarySpec(y_kind, barriers), y_states)
+    digit = _pattern_codes(sites, y_rows).T
+    digit += 1
+    digit %= n  # slot + 1, or 0 for an empty row (slot -1 or n - 1)
+    digit = np.ascontiguousarray(digit, dtype=np.int16)  # (site, y row)
+    own = digit[:, np.searchsorted(y_src, np.arange(ny))]  # each y state's own levels
 
+    chunk = max(1, _CHUNK_CELLS // (ny * (npat + 2 * (m + n + 1))))
     residual = 0.0
-    lhs = np.zeros((ny, npat))
-    rhs = np.zeros((ny, npat))
-    for xs in x_states:
-        lhs[:] = 0.0
-        rhs[:] = 0.0
-        base = _pattern_codes(xs, ymat)
-        moves_x, outflow_x = state_moves(absorbed, xs, _blocks_of(xs))
-        lhs[rows, base] -= outflow_x
-        for new, rate in moves_x:
-            lhs[rows, _pattern_codes(new, ymat)] += rate
-        rhs[rows, base] -= yout
-        for k in range(kmax):
-            sel = yvalid[:, k]
-            if not np.any(sel):
-                continue
-            codes = _pattern_codes(xs, yneigh[sel, k, :])
-            rhs[rows[sel], codes] += 0.5
-        residual = max(residual, float(np.abs(lhs - rhs).max()))
+    for lo in range(0, nx, chunk):
+        hi = min(lo + chunk, nx)
+        # left side: x rows of this chunk against each y state's own levels
+        sel = slice(x_first[lo], x_first[hi])
+        pat_x = sum(np.multiply(own[x_rows[sel, i]], n**i, dtype=np.intp) for i in range(m))
+        cell_x = ((x_src[sel, None] - lo) * ny + np.arange(ny)) * npat + pat_x
+        # right side: each x state of this chunk against every y row
+        xs = x_rows[x_first[lo:hi]]
+        pat_y = sum(np.multiply(digit[xs[:, i]], n**i, dtype=np.intp) for i in range(m))
+        cell_y = ((np.arange(hi - lo)[:, None]) * ny + y_src) * npat + pat_y
+        weights = np.concatenate((np.repeat(x_rate[sel], ny), np.tile(-y_rate, hi - lo)))
+        acc = np.bincount(np.concatenate((cell_x.ravel(), cell_y.ravel())), weights, minlength=(hi - lo) * ny * npat)
+        residual = max(residual, float(np.abs(acc).max()))
     return residual
 
 
@@ -277,31 +265,13 @@ def array_law_exact(
 
     absorbed = build_generator(BoundarySpec("absorbing", barriers), m, (lo, hi))
     law_f = transient_law(absorbed, absorbed.index(x0), t, tol)
-    forward = np.zeros(npat)
-    codes = _pattern_codes_states(np.array(absorbed.states), np.array(y0))
-    np.add.at(forward, codes, law_f.probs)
+    forward = np.bincount(_bit_codes(_pattern_codes(absorbed.states, y0), n), law_f.probs, minlength=npat)
 
     reflected = build_generator(BoundarySpec("reflecting", barriers), n, (lo, hi))
     law_b = transient_law(reflected, reflected.index(y0), t, tol)
-    backward = np.zeros(npat)
-    ymat = np.array(reflected.states)
-    codes_b = _pattern_codes(tuple(float(v) for v in x0), ymat)
-    np.add.at(backward, codes_b, law_b.probs)
+    backward = np.bincount(_bit_codes(_pattern_codes(x0, reflected.states), n), law_b.probs, minlength=npat)
 
     tv = 0.5 * float(np.abs(forward - backward).sum())
     budget = law_f.lost_mass + law_b.lost_mass + law_f.series_remainder + law_b.series_remainder
     return ArrayLawResult(forward=forward, backward=backward, tv_distance=tv, error_budget=float(budget))
 
-
-def _pattern_codes_states(xmat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bit-pack crossing indicators of state rows ``xmat`` against fixed levels ``y``."""
-    n = len(y)
-    codes = np.zeros(len(xmat), dtype=np.int64)
-    bit = 0
-    for i in range(xmat.shape[1]):
-        xi = xmat[:, i]
-        for j in range(n - 1):
-            hit = (y[j] < xi) & (xi <= y[j + 1])
-            codes |= hit.astype(np.int64) << bit
-            bit += 1
-    return codes

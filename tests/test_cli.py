@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from scbm.cli import CSV_HEADER, main
+from scbm.cli import CSV_HEADER, SUBCOMMANDS, main
 from scbm.config import ConfigError, apply_schema, parse_config
 
 FAST_VERIFY = """
@@ -199,6 +199,18 @@ class TestCliErrors:
             ("scbm-duality", "vacancy_s2 = 1", "vacancy_s2"),
             ("verify-duality", "cases = 1x", "cases"),
             ("verify-duality", "cases = 2x2,0x1", "cases"),
+            ("verify-duality", "array_tol = 0", "array_tol"),
+            ("verify-duality", "barrier_hi = 1", "barrier_hi"),
+            ("verify-duality", "barrier_lo = 0.5", "barrier_lo"),
+            ("verify-duality", "array_y = 0.5,4", "array_y"),
+            ("verify-duality", "array_x = 1.5,3", "array_x"),
+            ("verify-duality", "array_times = -1", "array_times"),
+            ("verify-duality", "radius = -1", "radius"),
+            ("verify-duality", "residual_tol = 0", "residual_tol"),
+            ("verify-duality", "tv_tol = -0.1", "tv_tol"),
+            ("verify-duality", "budget_tol = 0", "budget_tol"),
+            ("survival", "truncation = inf", "truncation"),
+            ("survival", "horizons = 1,nan", "horizons"),
             ("integral-test", "horizon = 0.5", "horizon"),
             ("integral-test", "delta = 1", "delta"),
         ],
@@ -206,5 +218,32 @@ class TestCliErrors:
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, line, key):
         cfg = _write(tmp_path, f"[{command}]\n{line}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        if command != "scbm-duality":
+            assert f"for '{key}'" in err
         assert not (tmp_path / "o").exists()
+
+
+def _schema_default(type_name, default) -> str:
+    if type_name == "floats":
+        return ",".join(f"{v:g}" for v in default)
+    if type_name == "float":
+        return f"{default:g}"
+    return str(default) if default != "" else "(empty)"
+
+
+def _schema_table(command: str) -> str:
+    """The README table of one config section, rebuilt from its schema dict."""
+    lines = [f"Section `[{command}]`:", "", "| key | type | default |", "|-----|------|---------|"]
+    for key, (type_name, default) in SUBCOMMANDS[command][0].items():
+        lines.append(f"| `{key}` | {type_name} | `{_schema_default(type_name, default)}` |")
+    return "\n".join(lines) + "\n"
+
+
+class TestReadmeSchema:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_table_matches_schema(self, command):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = _schema_table(command)
+        assert table in readme, f"README table out of date; expected:\n{table}"

@@ -278,6 +278,10 @@ class TestIndicatorArray:
         arr = indicator_array((0.5,), (0.5, 1.5))
         assert arr.tolist() == [[0]]
 
+    def test_tied_levels_leave_their_column_empty(self):
+        # coalesced levels: y_0 < x <= y_1 cannot hold when y_0 == y_1
+        assert indicator_array((1.0, 0.5), (0.5, 0.5, 1.5)).tolist() == [[0, 1], [0, 0]]
+
     def test_unordered_rejected(self):
         with pytest.raises(ValueError):
             indicator_array((0.0,), (1.5, 0.5))
