@@ -5,8 +5,8 @@ Subpackage map:
 * :mod:`scbm.branching` - critical stable branching semigroup and samplers
 * :mod:`scbm.lattice` - coalescing random walks with boundary variants
 * :mod:`scbm.oracle` - exact finite-state duality verification
-* :mod:`scbm.flow` - coalescing Brownian paths, reflections, step functionals
-* :mod:`scbm.engine` - the measure-valued process built from atoms
+* :mod:`scbm.flow` - replicas of coalescing Brownian paths with barriers, step functionals
+* :mod:`scbm.engine` - the measure-valued process built from excursions
 * :mod:`scbm.harness` - Monte Carlo identity checks
 * :mod:`scbm.experiments` - integral test machinery and survival ensembles
 * :mod:`scbm.cli` - experiment command line
@@ -14,16 +14,15 @@ Subpackage map:
 
 from .branching import (
     BranchingParams,
-    csbp_path,
     cumulant,
     cumulant_limit,
     extinction_prob,
     sample_entrance_mass,
     sample_transition,
 )
-from .engine import AtomicMeasure, ExcursionAtom, MeasureSpec, evolve_scbm, init_atoms
-from .flow import FlowBoundary, StepFunction, sample_coalescing_paths, sample_one_sided_reflected
-from .harness import ComparisonReport, MCEstimate, mc_estimate
+from .engine import MeasureSpec, init_ensemble
+from .flow import FlowBoundary, ReplicaFlow, StepFunction
+from .harness import ComparisonReport, MCEstimate
 from .lattice import BoundarySpec, IntervalPartition, LatticeState, coalesce_state, simulate_walk
 
 __version__ = "0.1.0"
@@ -35,19 +34,13 @@ __all__ = [
     "extinction_prob",
     "sample_transition",
     "sample_entrance_mass",
-    "csbp_path",
     "MeasureSpec",
-    "ExcursionAtom",
-    "AtomicMeasure",
-    "init_atoms",
-    "evolve_scbm",
+    "init_ensemble",
     "FlowBoundary",
+    "ReplicaFlow",
     "StepFunction",
-    "sample_coalescing_paths",
-    "sample_one_sided_reflected",
     "MCEstimate",
     "ComparisonReport",
-    "mc_estimate",
     "BoundarySpec",
     "IntervalPartition",
     "LatticeState",

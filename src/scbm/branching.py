@@ -32,7 +32,6 @@ __all__ = [
     "extinction_prob",
     "sample_transition",
     "sample_entrance_mass",
-    "csbp_path",
     "entrance_table",
     "EntranceTable",
 ]
@@ -240,28 +239,3 @@ def sample_transition(params: BranchingParams, t: float, x, rng: np.random.Gener
     else:
         out = _compound_step(cumulant_limit(params, t), xarr, params.beta, rng)
     return float(out[0]) if scalar else out
-
-
-def csbp_path(params: BranchingParams, x0: float, grid, rng: np.random.Generator) -> np.ndarray:
-    """Sample the branching process at the strictly increasing times ``grid``.
-
-    The path starts from ``x0`` at time 0 and is chained through exact (or, for
-    beta < 1, approximate) one-step transitions, so the marginal at each grid
-    time t has the time-t transition law.  Zero is absorbing.
-    """
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("grid must be a nonempty 1-d time sequence")
-    if np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise ValueError("grid must be strictly increasing and nonnegative")
-    if x0 < 0:
-        raise ValueError("x0 must be >= 0")
-    out = np.empty(len(times))
-    current = float(x0)
-    prev = 0.0
-    for i, t in enumerate(times):
-        if t > prev and current > 0:
-            current = float(sample_transition(params, t - prev, current, rng))
-        out[i] = current
-        prev = t
-    return out

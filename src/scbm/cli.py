@@ -201,9 +201,30 @@ def flow_property_residual(gammas, betas, upper, points) -> float:
     return worst
 
 
+def _csbp_params(settings) -> BranchingParams:
+    """Check the [csbp-check] values, naming the key at fault; return the branching parameters."""
+    section = "csbp-check"
+    params = _params_from(settings)
+    _require(section, "gamma", params.gamma > 0, "gamma > 0: the checks sample the branching process")
+    gammas, betas = settings["flow_gammas"], settings["flow_betas"]
+    _require(section, "flow_gammas", bool(gammas) and all(0 <= g < math.inf for g in gammas), "finite rates >= 0")
+    _require(section, "flow_betas", bool(betas) and all(0 < b <= 1 for b in betas), "exponents in (0, 1]")
+    _require(section, "flow_max", 0 < settings["flow_max"] < math.inf, "a positive finite grid end")
+    _require(section, "flow_points", settings["flow_points"] >= 2, "at least two grid points")
+    for key in ("flow_tol", "anchor_tol"):
+        _require(section, key, 0 < settings[key] < math.inf, "a positive finite tolerance")
+    for key in ("sampler_n", "entrance_n"):
+        _require(section, key, settings[key] >= 2, "at least two draws")
+    for key in ("sampler_t", "sampler_x", "entrance_r"):
+        _require(section, key, 0 < settings[key] < math.inf, "a positive finite value")
+    _require(section, "laplace_z", all(0 < z < math.inf for z in settings["laplace_z"]), "positive finite arguments")
+    _require(section, "ks_pmin", 0 < settings["ks_pmin"] < 1, "a p-value threshold in (0, 1)")
+    return params
+
+
 def _run_csbp_check(settings, seed, threads):
     rows, failed = [], False
-    params = _params_from(settings)
+    params = _csbp_params(settings)
     residual = flow_property_residual(
         settings["flow_gammas"], settings["flow_betas"], settings["flow_max"], settings["flow_points"]
     )
@@ -319,6 +340,7 @@ def _duality_configs(settings):
     s1, s2 = settings["vacancy_s1"], settings["vacancy_s2"]
     _require("scbm-duality", "vacancy_s2", s1 < s2 < math.inf, "a finite time above vacancy_s1")
     params = _params_from(settings)
+    _require("scbm-duality", "gamma", params.gamma > 0, "gamma > 0: the checks sample the branching process")
     try:
         lap = LaplaceDualityConfig(
             params=params,
@@ -453,11 +475,13 @@ def _run_integral_test(settings, seed, threads):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     section = "integral-test"
+    _require(section, "gamma", params.gamma > 0, "gamma > 0: the block survival law needs branching")
     _require(section, "g", g(1.0) > 0, "a growth function positive at time 1")
     _require(section, "horizon", 1 < settings["horizon"] < math.inf, "a finite horizon > 1")
     _require(section, "series_n", settings["series_n"] >= 1, "at least one term")
     _require(section, "delta", 0.5 < settings["delta"] < 1, "delta in (1/2, 1)")
     _require(section, "seq_n", settings["seq_n"] >= 0, "seq_n >= 0")
+    _require(section, "block_index", 1 <= settings["block_index"] <= settings["seq_n"], "a block index in 1..seq_n")
     _require(section, "block_n", settings["block_n"] >= 2, "at least two replicas")
     _require(section, "envelope_eps", 0 < settings["envelope_eps"] < 0.5, "envelope_eps in (0, 1/2)")
 

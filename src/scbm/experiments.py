@@ -20,7 +20,7 @@ from scipy import integrate
 
 from .branching import BranchingParams, cumulant_limit, sample_transition
 from .engine import MeasureSpec, init_ensemble
-from .harness import MCEstimate, _run_batches, hybrid_grid, mc_estimate
+from .harness import MCEstimate, _effective_t0, _mc_batched, _run_batches, hybrid_grid
 
 __all__ = [
     "GrowthFunction",
@@ -395,8 +395,8 @@ def block_survival_closed_form(params: BranchingParams, index: int, triple: Sequ
     return 1.0 - math.exp(-2.0 * width * cumulant_limit(params, t)), False
 
 
-def _block_indicator(params: BranchingParams, t: float, x0: float, rng: np.random.Generator) -> float:
-    return 1.0 if sample_transition(params, t, x0, rng) > 0 else 0.0
+def _block_batch(params: BranchingParams, t: float, x0: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    return sample_transition(params, t, x0, rng, size=count) > 0
 
 
 def block_survival_mc(
@@ -407,7 +407,7 @@ def block_survival_mc(
     if width <= 0:
         return MCEstimate(mean=0.0, stderr=0.0, n=n, seed=seed)
     t = float(triple.times[index])
-    return mc_estimate(partial(_block_indicator, params, t, 2.0 * width), n, seed, threads=threads)
+    return _mc_batched(partial(_block_batch, params, t, 2.0 * width), n, seed, stream=0, threads=threads)
 
 
 @dataclass(frozen=True)
@@ -499,8 +499,7 @@ class SurvivalResult:
 
 
 def _survival_grid(cfg: SurvivalConfig) -> np.ndarray:
-    t0 = min(cfg.t0, cfg.horizons[0] / 10.0)
-    base = hybrid_grid(t0, float(cfg.horizons[-1]), cfg.dt)
+    base = hybrid_grid(_effective_t0(cfg.t0, cfg.horizons[0]), float(cfg.horizons[-1]), cfg.dt)
     return np.unique(np.concatenate((base, np.asarray(cfg.horizons, dtype=float))))
 
 

@@ -28,32 +28,11 @@ from .branching import BranchingParams, cumulant, sample_transition
 
 __all__ = [
     "FlowBoundary",
-    "PathBundle",
     "ReplicaFlow",
     "StepFunction",
     "step_positions",
-    "suggested_step",
-    "sample_coalescing_paths",
-    "sample_one_sided_reflected",
     "step_integral_lebesgue",
 ]
-
-
-def suggested_step(starts, crossing_cap: float = 0.2) -> float:
-    """Step size keeping the per-step merge probability of the tightest
-    initial pair below ``crossing_cap``.
-
-    The bridge merge probability at gap d over one step is exp(-d^2/dt), so
-    dt = d_min^2 / ln(1/cap) caps it.  Bias from unresolved sub-step structure
-    shrinks with dt; this is a starting point, not a convergence guarantee.
-    """
-    gaps = np.diff(np.asarray(starts, dtype=float))
-    gaps = gaps[gaps > 0]
-    if not (0 < crossing_cap < 1):
-        raise ValueError("crossing_cap must be in (0, 1)")
-    if len(gaps) == 0:
-        return 1.0
-    return float(gaps.min() ** 2 / math.log(1.0 / crossing_cap))
 
 
 @dataclass(frozen=True)
@@ -295,84 +274,6 @@ class ReplicaFlow:
             raise RuntimeError("masses are pending: call observe() before charged()")
         inside = (self.pos >= lo) & (self.pos <= hi)
         return np.bincount(self.replica[inside], minlength=self.count) > 0
-
-
-@dataclass
-class PathBundle:
-    """Sampled coalescing paths: values per path per grid time, plus merge bookkeeping.
-
-    ``merge_step[i]`` is the first grid index at which original paths i and
-    i+1 share a cluster (-1 if they never merge); ``frozen_at[i]`` is the
-    absorbing barrier path i ended at (NaN if none).
-    """
-
-    starts: np.ndarray
-    grid: np.ndarray
-    values: np.ndarray
-    merge_step: np.ndarray
-    frozen_at: np.ndarray
-
-    def merged_index(self, i: int, j: int) -> int:
-        """First grid index at which paths i and j coincide, -1 if never."""
-        lo, hi = sorted((i, j))
-        if lo == hi:
-            return 0
-        steps = self.merge_step[lo:hi]
-        return -1 if np.any(steps < 0) else int(steps.max())
-
-
-def sample_coalescing_paths(
-    starts,
-    grid,
-    rng: np.random.Generator,
-    boundary: FlowBoundary | None = None,
-) -> PathBundle:
-    """Sample the coalescing system started from ``starts`` on ``grid``.
-
-    The grid must increase from 0 (time 0 holds the starts).  Paths equal at
-    the start are merged immediately; an absorbing start on a barrier is
-    frozen there; a reflecting start on a barrier has no defined side and is
-    rejected.
-    """
-    s = np.asarray(starts, dtype=float)
-    times = np.asarray(grid, dtype=float)
-    if np.any(np.diff(s) < 0):
-        raise ValueError("starts must be nondecreasing")
-    if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("grid must be strictly increasing starting at 0")
-
-    npaths = len(s)
-    flow = ReplicaFlow(s, np.zeros(npaths, dtype=np.int64), 1, boundary=boundary, members=True)
-    values = np.empty((npaths, len(times)))
-    values[:, 0] = s
-    merge_step = np.full(max(npaths - 1, 0), -1, dtype=np.int64)
-    merge_step[flow.member[:-1] == flow.member[1:]] = 0
-
-    for step in range(1, len(times)):
-        flow.step(times[step] - times[step - 1], rng)
-        values[:, step] = flow.pos[flow.member]
-        just_merged = (flow.member[:-1] == flow.member[1:]) & (merge_step < 0)
-        merge_step[just_merged] = step
-
-    frozen_at = flow.frozen[flow.member]
-    return PathBundle(starts=s, grid=times, values=values, merge_step=merge_step, frozen_at=frozen_at)
-
-
-def sample_one_sided_reflected(anchor: float, side: str, grid, rng: np.random.Generator) -> np.ndarray:
-    """Brownian motion reflected at its starting point, exact at grid points.
-
-    Returns anchor - |W| for side "below" (path never exceeds the anchor) or
-    anchor + |W| for side "above".
-    """
-    if side not in ("below", "above"):
-        raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    times = np.asarray(grid, dtype=float)
-    if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("grid must be strictly increasing starting at 0")
-    incr = rng.normal(0.0, np.sqrt(np.diff(times)))
-    w = np.concatenate(([0.0], np.cumsum(incr)))
-    folded = np.abs(w)
-    return anchor - folded if side == "below" else anchor + folded
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .flow import FlowBoundary, ReplicaFlow, StepFunction, step_integral_lebesgu
 __all__ = [
     "MCEstimate",
     "ComparisonReport",
-    "mc_estimate",
     "hybrid_grid",
     "reflected_gap_vacancy_exact",
     "LaplaceDualityConfig",
@@ -89,38 +88,6 @@ def _replica_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, index)))
 
 
-def _chunk(functional, seed: int, stream: int, lo: int, hi: int) -> np.ndarray:
-    return np.array([functional(_replica_rng(seed, stream, i)) for i in range(lo, hi)])
-
-
-def mc_estimate(functional, n: int, seed: int, stream: int = 0, threads: int = 1) -> MCEstimate:
-    """Estimate E[functional(rng)] over ``n`` independent replicas.
-
-    Replica i uses a generator derived from (seed, stream, i); results are
-    assembled in replica order, so the estimate is identical for any thread
-    count.
-    """
-    if n < 2:
-        raise ValueError("need at least two replicas")
-    if threads <= 1:
-        values = _chunk(functional, seed, stream, 0, n)
-    else:
-        bounds = np.linspace(0, n, threads * 2 + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(partial(_chunk, functional, seed, stream), bounds[:-1], bounds[1:]))
-        values = np.concatenate(parts)
-    return _estimate_from(values, n, seed)
-
-
-def _estimate_from(values: np.ndarray, n: int, seed: int) -> MCEstimate:
-    return MCEstimate(
-        mean=float(values.mean()),
-        stderr=float(values.std(ddof=1) / math.sqrt(n)),
-        n=n,
-        seed=seed,
-    )
-
-
 def _batch_run(batch_fn, seed: int, stream: int, index: int, count: int) -> np.ndarray:
     return batch_fn(_replica_rng(seed, stream, index), count)
 
@@ -144,10 +111,11 @@ def _run_batches(batch_fn, n: int, seed: int, stream: int, threads: int = 1, bat
 
 
 def _mc_batched(batch_fn, n: int, seed: int, stream: int, threads: int = 1, batch: int = _BATCH) -> MCEstimate:
-    """Like :func:`mc_estimate` for functionals that evaluate a whole batch at once (see :func:`_run_batches`)."""
+    """Estimate the mean of ``n`` replicas of ``batch_fn(rng, count)``, run in batches (see :func:`_run_batches`)."""
     if n < 2:
         raise ValueError("need at least two replicas")
-    return _estimate_from(_run_batches(batch_fn, n, seed, stream, threads, batch), n, seed)
+    values = _run_batches(batch_fn, n, seed, stream, threads, batch)
+    return MCEstimate(mean=float(values.mean()), stderr=float(values.std(ddof=1) / math.sqrt(n)), n=n, seed=seed)
 
 
 def _check_step(dt: float) -> None:
@@ -179,21 +147,20 @@ def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, t_end, max(2, int(round(t_end / dt)) + 1))
 
 
-def _equality_report(label, lhs, rhs, approx=False) -> ComparisonReport:
+def _report(label, lhs, rhs, one_sided=False, approx=False) -> ComparisonReport:
+    """z of lhs - rhs over the pooled standard error.
+
+    An equality passes at |z| <= 3; a one-sided bound (lhs >= rhs) passes
+    unless lhs falls more than three pooled standard errors below rhs.
+    """
     rhs_mean = rhs.mean if isinstance(rhs, MCEstimate) else float(rhs)
     spread = math.sqrt(lhs.stderr**2 + (rhs.stderr**2 if isinstance(rhs, MCEstimate) else 0.0))
     diff = lhs.mean - rhs_mean
     z = 0.0 if diff == 0 else (math.inf if spread == 0 else diff / spread)
-    verdict = "consistent" if abs(z) <= 3.0 else "inconsistent"
-    return ComparisonReport(label=label, lhs=lhs, rhs=rhs, z_score=z, verdict=verdict, approx=approx)
-
-
-def _one_sided_report(label, lhs, rhs, approx=False) -> ComparisonReport:
-    rhs_mean = rhs.mean if isinstance(rhs, MCEstimate) else float(rhs)
-    spread = math.sqrt(lhs.stderr**2 + (rhs.stderr**2 if isinstance(rhs, MCEstimate) else 0.0))
-    diff = lhs.mean - rhs_mean
-    z = 0.0 if diff == 0 else (math.inf if spread == 0 else diff / spread)
-    verdict = "one_sided_ok" if diff >= -3.0 * spread else "inconsistent"
+    if one_sided:
+        verdict = "one_sided_ok" if diff >= -3.0 * spread else "inconsistent"
+    else:
+        verdict = "consistent" if abs(z) <= 3.0 else "inconsistent"
     return ComparisonReport(label=label, lhs=lhs, rhs=rhs, z_score=z, verdict=verdict, approx=approx)
 
 
@@ -268,7 +235,7 @@ def laplace_duality_check(cfg: LaplaceDualityConfig, seed: int, threads: int = 1
     lhs = _mc_batched(partial(_laplace_lhs_batch, cfg), cfg.n, seed, stream=0, threads=threads)
     rhs_params = replace(cfg.params, gamma=cfg.params.gamma * cfg.rhs_gamma_scale)
     rhs = _mc_batched(partial(_laplace_rhs_batch, cfg, rhs_params), cfg.n, seed, stream=1, threads=threads)
-    return _equality_report("laplace_duality", lhs, rhs, approx=cfg.params.beta < 1.0)
+    return _report("laplace_duality", lhs, rhs, approx=cfg.params.beta < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +271,7 @@ class AbsorbingExtinctionConfig:
 
 def _absorbed_atoms(measure: MeasureSpec, spacing: float, barriers: tuple[float, float], count: int) -> ReplicaFlow:
     """Replicas of the atomized measure under absorption (masses stay positive without branching)."""
-    starts = [atom.birth_location for atom in atomize_measure(measure, spacing)]
-    return _copies(starts, count, boundary=FlowBoundary("absorbing", barriers))
+    return _copies(atomize_measure(measure, spacing), count, boundary=FlowBoundary("absorbing", barriers))
 
 
 def _absorbing_lhs(cfg: AbsorbingExtinctionConfig, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -337,7 +303,7 @@ def truncation_escape_bound(margin: float, t: float) -> float:
 def absorbing_extinction_check(cfg: AbsorbingExtinctionConfig, seed: int, threads: int = 1) -> ComparisonReport:
     lhs = _mc_batched(partial(_absorbing_lhs, cfg), cfg.n, seed, stream=0, threads=threads)
     rhs = reflected_gap_vacancy_exact(cfg.c, cfg.t)
-    return _equality_report("absorbing_extinction", lhs, rhs)
+    return _report("absorbing_extinction", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +364,9 @@ def occupation_duality_check(cfg: OccupationDualityConfig, seed: int, threads: i
     rhs = reflected_gap_vacancy_exact(cfg.c, cfg.t)
     if cfg.params.gamma == 0.0:
         lhs = _mc_batched(partial(_occupation_lhs_no_branching, cfg), cfg.n, seed, stream=0, threads=threads)
-        return _equality_report("occupation_duality_equality", lhs, rhs)
+        return _report("occupation_duality_equality", lhs, rhs)
     lhs = _mc_batched(partial(_occupation_lhs_branch_batch, cfg), cfg.n, seed, stream=0, threads=threads)
-    return _one_sided_report("occupation_duality_bound", lhs, rhs, approx=cfg.params.beta < 1.0)
+    return _report("occupation_duality_bound", lhs, rhs, one_sided=True, approx=cfg.params.beta < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +425,7 @@ def interval_vacancy_bound_check(cfg: VacancyBoundConfig, seed: int, threads: in
         raise ValueError("need s1 < s2")
     lhs = _mc_batched(partial(_vacancy_lhs_batch, cfg), cfg.n, seed, stream=0, threads=threads)
     rhs = _mc_batched(partial(_vacancy_rhs_batch, cfg), cfg.n, seed, stream=1, threads=threads)
-    return _one_sided_report("interval_vacancy_bound", lhs, rhs, approx=cfg.params.beta < 1.0)
+    return _report("interval_vacancy_bound", lhs, rhs, one_sided=True, approx=cfg.params.beta < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -500,4 +466,4 @@ def reflected_laplace_smoke(cfg: ReflectedLaplaceConfig, seed: int, threads: int
         raise ValueError("level points must avoid the barriers")
     lhs = _mc_batched(partial(_reflected_lhs, cfg), cfg.n, seed, stream=0, threads=threads)
     rhs = _mc_batched(partial(_reflected_rhs, cfg), cfg.n, seed, stream=1, threads=threads)
-    return _equality_report("reflected_laplace_smoke", lhs, rhs, approx=True)
+    return _report("reflected_laplace_smoke", lhs, rhs, approx=True)

@@ -8,7 +8,6 @@ from scipy import stats
 
 from scbm.branching import (
     BranchingParams,
-    csbp_path,
     cumulant,
     cumulant_limit,
     entrance_table,
@@ -286,17 +285,30 @@ class TestEntranceSampler:
             sample_entrance_mass(P21, 0.0, np.random.default_rng(0))
 
 
+def _chain(params, x0, times, rng, size):
+    """``size`` paths from ``x0`` at the increasing ``times``, chained through one-step transitions."""
+    current = np.full(size, float(x0))
+    out, prev = [], 0.0
+    for t in times:
+        current = sample_transition(params, t - prev, current, rng)
+        out.append(current)
+        prev = t
+    return np.array(out)
+
+
 class TestPath:
+    """Paths chained through ``sample_transition``: zero traps, and the semigroup composes."""
+
     def test_zero_start_stays_zero(self):
         rng = np.random.default_rng(0)
-        path = csbp_path(P21, 0.0, [0.5, 1.0, 2.0], rng)
+        path = _chain(P21, 0.0, [0.5, 1.0, 2.0], rng, 1)
         assert np.all(path == 0.0)
 
     def test_absorbing(self):
         rng = np.random.default_rng(41)
-        for _ in range(200):
-            path = csbp_path(P21, 0.4, np.linspace(0.2, 3.0, 12), rng)
-            assert np.all(path >= 0)
+        paths = _chain(P21, 0.4, np.linspace(0.2, 3.0, 12), rng, 200).T
+        assert np.all(paths >= 0)
+        for path in paths:
             dead = np.flatnonzero(path == 0.0)
             if len(dead):
                 assert np.all(path[dead[0]:] == 0.0)
@@ -304,7 +316,7 @@ class TestPath:
     def test_single_step_marginal_matches_transition(self):
         rng = np.random.default_rng(43)
         n = 10_000
-        paths = np.array([csbp_path(P21, 1.0, [0.8], rng)[0] for _ in range(n)])
+        paths = _chain(P21, 1.0, [0.8], rng, n)[0]
         direct = sample_transition(P21, 0.8, 1.0, rng, size=n)
         pz_p, pz_d = np.mean(paths == 0), np.mean(direct == 0)
         se = math.sqrt(pz_p * (1 - pz_p) / n + pz_d * (1 - pz_d) / n)
@@ -315,14 +327,9 @@ class TestPath:
         rng = np.random.default_rng(47)
         n = 10_000
         t = 1.0
-        via_half = np.array([csbp_path(P21, 1.0, [t / 2, t], rng)[-1] for _ in range(n)])
-        direct = np.array([csbp_path(P21, 1.0, [t], rng)[-1] for _ in range(n)])
+        via_half = _chain(P21, 1.0, [t / 2, t], rng, n)[-1]
+        direct = _chain(P21, 1.0, [t], rng, n)[-1]
         pz_h, pz_d = np.mean(via_half == 0), np.mean(direct == 0)
         se = math.sqrt(pz_h * (1 - pz_h) / n + pz_d * (1 - pz_d) / n)
         assert abs(pz_h - pz_d) <= 3 * se
         assert stats.ks_2samp(via_half[via_half > 0], direct[direct > 0]).pvalue > 0.01
-
-    def test_bad_grid(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            csbp_path(P21, 1.0, [1.0, 0.5], rng)

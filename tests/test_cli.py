@@ -213,6 +213,27 @@ class TestCliErrors:
             ("survival", "horizons = 1,nan", "horizons"),
             ("integral-test", "horizon = 0.5", "horizon"),
             ("integral-test", "delta = 1", "delta"),
+            ("integral-test", "gamma = 0", "gamma"),
+            ("integral-test", "block_index = 0", "block_index"),
+            ("integral-test", "block_index = -3", "block_index"),
+            ("integral-test", "block_index = 11", "block_index"),
+            ("scbm-duality", "gamma = 0", "gamma"),
+            ("csbp-check", "gamma = 0", "gamma"),
+            ("csbp-check", "sampler_t = 0", "sampler_t"),
+            ("csbp-check", "entrance_r = 0", "entrance_r"),
+            ("csbp-check", "sampler_x = -1", "sampler_x"),
+            ("csbp-check", "sampler_x = 0", "sampler_x"),
+            ("csbp-check", "flow_max = -1", "flow_max"),
+            ("csbp-check", "flow_gammas = -1", "flow_gammas"),
+            ("csbp-check", "flow_betas = 2", "flow_betas"),
+            ("csbp-check", "laplace_z = -1", "laplace_z"),
+            ("csbp-check", "sampler_n = 0", "sampler_n"),
+            ("csbp-check", "sampler_n = 1", "sampler_n"),
+            ("csbp-check", "entrance_n = 0", "entrance_n"),
+            ("csbp-check", "flow_points = 0", "flow_points"),
+            ("csbp-check", "flow_tol = 0", "flow_tol"),
+            ("csbp-check", "anchor_tol = -1", "anchor_tol"),
+            ("csbp-check", "ks_pmin = 1", "ks_pmin"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, line, key):

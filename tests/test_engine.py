@@ -4,19 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scbm.branching import BranchingParams, csbp_path, cumulant
-from scbm.engine import (
-    AtomicMeasure,
-    ExcursionAtom,
-    MeasureSpec,
-    atomize_measure,
-    evolve_scbm,
-    extinction_time,
-    init_atoms,
-    occupation_time,
-    window_mass,
-)
-from scbm.flow import FlowBoundary
+from scbm.branching import BranchingParams, cumulant, extinction_prob, sample_transition
+from scbm.engine import MeasureSpec, atomize_measure, init_ensemble
+from scbm.flow import FlowBoundary, ReplicaFlow
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
 P0 = BranchingParams(gamma=0.0)
@@ -44,64 +34,86 @@ class TestMeasureSpec:
 
 
 class TestInitAtoms:
+    """Populations built by ``init_ensemble``, one per replica."""
+
     def test_empty_measure(self):
-        assert init_atoms(MeasureSpec(), 1.0, P21, np.random.default_rng(0)) == []
+        flow = init_ensemble(MeasureSpec(), 1.0, P21, np.random.default_rng(0), 5)
+        assert len(flow.pos) == 0 and len(flow.mass) == 0
+        assert not np.any(flow.charged(-math.inf, math.inf))
 
     def test_poisson_mean_count(self):
-        # Lebesgue on [-1, 1] at t0 = 1 with extinction rate 1: mean count 2
+        # Lebesgue on [-1, 1] at t0 = 1 with extinction rate 1: mean count 2 per replica
         rng = np.random.default_rng(7)
-        counts = [len(init_atoms(MeasureSpec(intervals=((-1.0, 1.0),)), 1.0, P21, rng)) for _ in range(3000)]
+        count = 3000
+        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 1.0, P21, rng, count)
+        counts = np.bincount(flow.replica, minlength=count)
         mean = float(np.mean(counts))
-        se = float(np.std(counts, ddof=1) / math.sqrt(len(counts)))
+        se = float(np.std(counts, ddof=1) / math.sqrt(count))
         assert abs(mean - 2.0) <= 3 * se
 
     def test_masses_positive_and_sorted_births(self):
         rng = np.random.default_rng(11)
-        atoms = init_atoms(MeasureSpec(intervals=((-1.0, 1.0),)), 0.05, P21, rng)
-        assert all(a.mass > 0 for a in atoms)
-        births = [a.birth_location for a in atoms]
-        assert births == sorted(births)
+        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.05, P21, rng, 50)
+        assert len(flow.pos) > 50
+        assert np.all(flow.mass > 0)
+        assert np.all(np.diff(flow.replica) >= 0)
+        same = flow.replica[1:] == flow.replica[:-1]
+        assert np.all(np.diff(flow.pos)[same] > 0)
 
     def test_bad_burn_in(self):
         with pytest.raises(ValueError):
-            init_atoms(MeasureSpec(intervals=((0.0, 1.0),)), 0.0, P21, np.random.default_rng(0))
+            init_ensemble(MeasureSpec(intervals=((0.0, 1.0),)), 0.0, P21, np.random.default_rng(0), 4)
 
 
 class TestAtomize:
     def test_edges_present(self):
-        atoms = atomize_measure(MeasureSpec(intervals=((-2.0, -1.0), (1.0, 2.0))), spacing=0.25)
-        locs = [a.birth_location for a in atoms]
+        locs = atomize_measure(MeasureSpec(intervals=((-2.0, -1.0), (1.0, 2.0))), spacing=0.25)
         for edge in (-2.0, -1.0, 1.0, 2.0):
             assert edge in locs
+        assert np.all(np.diff(locs) > 0)
 
-    def test_mass_conserved(self):
-        mu = MeasureSpec(intervals=((0.0, 3.0),), atoms=((5.0, 0.7),))
-        atoms = atomize_measure(mu, spacing=0.1)
-        assert sum(a.mass for a in atoms) == pytest.approx(mu.total_mass, rel=1e-12)
+
+def _single_clusters(count, masses=1.0, boundary=None, params=P21):
+    """``count`` replicas of one cluster at 0 carrying ``masses``."""
+    return ReplicaFlow(
+        np.zeros(count), np.arange(count), count, boundary=boundary, masses=np.full(count, masses), params=params
+    )
+
+
+def _totals(flow):
+    return np.bincount(flow.replica, weights=flow.mass, minlength=flow.count)
 
 
 class TestEvolve:
+    """Masses riding the flow, observed along a grid, over many replicas in one system."""
+
     def test_single_atom_mass_law_matches_branching_path(self):
+        # one unit atom observed at 0.4 and 0.8: extinct with probability
+        # exp(-u_0.8(inf)), and distributed as one transition over 0.8
         rng = np.random.default_rng(13)
         n = 10_000
-        grid = [0.2, 0.6, 1.0]
-        finals = np.empty(n)
-        for i in range(n):
-            snaps = evolve_scbm([ExcursionAtom(0.0, 1.0)], grid, P21, rng)
-            finals[i] = snaps[-1].total
-        direct = np.array([csbp_path(P21, 1.0, [0.4, 0.8], rng)[-1] for _ in range(n)])
-        pz_f, pz_d = np.mean(finals == 0), np.mean(direct == 0)
-        se = math.sqrt(pz_f * (1 - pz_f) / n + pz_d * (1 - pz_d) / n)
-        assert abs(pz_f - pz_d) <= 3 * se
+        flow = _single_clusters(n)
+        for dt in (0.4, 0.4):
+            flow.step(dt, rng)
+            flow.observe(rng)
+        finals = _totals(flow)
+        direct = sample_transition(P21, 0.8, 1.0, rng, size=n)
+        pz = np.mean(finals == 0)
+        target = extinction_prob(P21, 0.8, 1.0)
+        assert abs(pz - target) <= 3 * math.sqrt(target * (1 - target) / n)
         assert stats.ks_2samp(finals[finals > 0], direct[direct > 0]).pvalue > 0.01
 
     def test_atom_count_nonincreasing(self):
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            atoms = init_atoms(MeasureSpec(intervals=((-1.0, 1.0),)), 0.05, P21, rng)
-            snaps = evolve_scbm(atoms, np.linspace(0.05, 1.0, 20), P21, rng)
-            counts = [len(s.masses) for s in snaps]
-            assert all(a >= b for a, b in zip(counts, counts[1:]))
+        count = 50
+        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.05, P21, rng, count)
+        before = np.bincount(flow.replica, minlength=count)
+        for dt in np.diff(np.linspace(0.05, 1.0, 20)):
+            flow.step(float(dt), rng)
+            flow.observe(rng)
+            after = np.bincount(flow.replica, minlength=count)
+            assert np.all(after <= before)
+            before = after
 
     def test_total_mass_laplace_identity(self):
         # coalescence cannot change the total-mass law: E exp(-z M_t) =
@@ -111,106 +123,45 @@ class TestEvolve:
         t, z, n = 0.5, 1.0, 4000
         t0 = 0.01
         grid = np.concatenate((np.geomspace(t0, 0.1, 12), np.linspace(0.12, t, 12)))
-        vals = np.empty(n)
-        for i in range(n):
-            atoms = init_atoms(mu, t0, P21, rng)
-            snaps = evolve_scbm(atoms, grid, P21, rng)
-            vals[i] = math.exp(-z * snaps[-1].total)
+        flow = init_ensemble(mu, t0, P21, rng, n)
+        for dt in np.diff(grid):
+            flow.step(float(dt), rng)
+        flow.observe(rng)
+        vals = np.exp(-z * _totals(flow))
         target = math.exp(-2.0 * cumulant(P21, t, z))
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - target) <= 3 * se
 
     def test_gamma_zero_mass_constant_under_merges(self):
         rng = np.random.default_rng(23)
-        atoms = atomize_measure(MeasureSpec(intervals=((-1.0, 1.0),)), spacing=0.1)
-        total0 = sum(a.mass for a in atoms)
-        snaps = evolve_scbm(atoms, np.linspace(0.0, 2.0, 40), P0, rng)
-        assert all(s.total == pytest.approx(total0, rel=1e-12) for s in snaps)
-        assert len(snaps[-1].masses) < len(atoms)  # merges happened
+        starts = atomize_measure(MeasureSpec(intervals=((-1.0, 1.0),)), spacing=0.1)
+        flow = ReplicaFlow(starts, np.zeros(len(starts)), 1, masses=np.full(len(starts), 0.1), params=P0)
+        total0 = 0.1 * len(starts)
+        for dt in np.diff(np.linspace(0.0, 2.0, 40)):
+            flow.step(float(dt), rng)
+            flow.observe(rng)
+            assert flow.mass.sum() == pytest.approx(total0, rel=1e-12)
+        assert len(flow.mass) < len(starts)  # merges happened
 
     def test_absorbed_atoms_keep_branching(self):
         rng = np.random.default_rng(29)
-        bnd = FlowBoundary("absorbing", (0.0,))
-        changed = 0
-        for _ in range(200):
-            snaps = evolve_scbm([ExcursionAtom(0.0, 1.0)], [0.0, 0.5, 1.0], P21, rng, flow_boundary=bnd)
-            for s in snaps:
-                assert np.all(s.locations == 0.0)
-            if snaps[-1].total not in (0.0, 1.0):
-                changed += 1
-        assert changed > 100
+        count = 200
+        flow = _single_clusters(count, boundary=FlowBoundary("absorbing", (0.0,)))
+        for dt in (0.5, 0.5):
+            flow.step(dt, rng)
+            flow.observe(rng)
+            assert np.all(flow.pos == 0.0)
+        totals = _totals(flow)
+        assert np.sum((totals != 0.0) & (totals != 1.0)) > 100
 
     def test_ordering_preserved(self):
         rng = np.random.default_rng(31)
-        for _ in range(50):
-            atoms = [ExcursionAtom(v, 1.0) for v in (-1.0, 0.0, 2.0)]
-            snaps = evolve_scbm(atoms, np.linspace(0.0, 1.0, 20), P21, rng)
-            for s in snaps:
-                assert np.all(np.diff(s.locations) > 0)
-
-
-class TestFunctionals:
-    def test_window_mass_cases(self):
-        empty = AtomicMeasure()
-        assert window_mass(empty, (-1.0, 1.0)) == 0.0
-        one = AtomicMeasure(locations=np.array([0.0]), masses=np.array([2.0]))
-        assert window_mass(one, (-1.0, 1.0)) == 2.0
-        edge = AtomicMeasure(locations=np.array([1.0]), masses=np.array([3.0]))
-        assert window_mass(edge, (-1.0, 1.0)) == 3.0
-        with pytest.raises(ValueError):
-            window_mass(one, (1.0, -1.0))
-
-    def test_occupation_never_charged(self):
-        grid = [0.0, 0.5, 1.0]
-        ms = [AtomicMeasure(locations=np.array([5.0]), masses=np.array([1.0]))] * 3
-        val, never = occupation_time(ms, grid, (-1.0, 1.0))
-        assert val == 0.0 and never
-
-    def test_occupation_constant_unit_atom(self):
-        # immortal unit atom inside the window: integral is the elapsed time
-        grid = np.linspace(0.5, 2.5, 21)
-        ms = [AtomicMeasure(locations=np.array([0.0]), masses=np.array([1.0]))] * len(grid)
-        val, never = occupation_time(ms, grid, (-1.0, 1.0))
-        assert val == pytest.approx(2.0, abs=1e-12)
-        assert not never
-
-    def test_occupation_monotone_in_horizon(self):
-        grid = np.linspace(0.0, 2.0, 9)
-        rng = np.random.default_rng(3)
-        ms = [
-            AtomicMeasure(locations=np.array([0.0]), masses=np.array([float(rng.random() + 0.1)]))
-            for _ in grid
-        ]
-        vals = [occupation_time(ms, grid, (-1.0, 1.0), up_to=h)[0] for h in (0.5, 1.0, 2.0)]
-        assert vals[0] <= vals[1] <= vals[2]
-
-    def test_extinction_time_cases(self):
-        grid = [0.0, 1.0, 2.0]
-        empty = [AtomicMeasure()] * 3
-        t, censored = extinction_time(empty, grid, lambda t: 1.0)
-        assert t == 0.0 and not censored
-
-        charged_end = [
-            AtomicMeasure(locations=np.array([0.0]), masses=np.array([1.0])),
-            AtomicMeasure(locations=np.array([0.5]), masses=np.array([1.0])),
-            AtomicMeasure(locations=np.array([0.5]), masses=np.array([1.0])),
-        ]
-        t, censored = extinction_time(charged_end, grid, lambda t: 1.0)
-        assert t == 2.0 and censored
-
-        dies = [
-            AtomicMeasure(locations=np.array([0.0]), masses=np.array([1.0])),
-            AtomicMeasure(locations=np.array([5.0]), masses=np.array([1.0])),
-            AtomicMeasure(locations=np.array([6.0]), masses=np.array([1.0])),
-        ]
-        t, censored = extinction_time(dies, grid, lambda t: 1.0)
-        assert t == 0.0 and not censored
-
-    def test_extinction_time_monotone_in_window(self):
-        rng = np.random.default_rng(37)
-        grid = np.linspace(0.05, 2.0, 30)
-        atoms = init_atoms(MeasureSpec(intervals=((-2.0, 2.0),)), 0.05, P21, rng)
-        snaps = evolve_scbm(atoms, grid, P21, rng)
-        small, _ = extinction_time(snaps, grid, lambda t: 0.5)
-        large, _ = extinction_time(snaps, grid, lambda t: 5.0)
-        assert large >= small
+        count = 50
+        flow = ReplicaFlow(
+            np.tile([-1.0, 0.0, 2.0], count), np.repeat(np.arange(count), 3), count, masses=np.ones(3 * count), params=P21
+        )
+        for dt in np.diff(np.linspace(0.0, 1.0, 20)):
+            flow.step(float(dt), rng)
+            flow.observe(rng)
+            same = flow.replica[1:] == flow.replica[:-1]
+            assert np.all(np.diff(flow.pos)[same] > 0)

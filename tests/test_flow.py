@@ -11,8 +11,6 @@ from scbm.flow import (
     FlowBoundary,
     ReplicaFlow,
     StepFunction,
-    sample_coalescing_paths,
-    sample_one_sided_reflected,
     step_integral_lebesgue,
     step_positions,
 )
@@ -20,98 +18,91 @@ from scbm.flow import (
 P21 = BranchingParams(gamma=2.0, beta=1.0)
 
 
-def _grid(t, steps):
-    return np.linspace(0.0, t, steps + 1)
+def _paths(starts, count, rng, steps, t, boundary=None):
+    """Values of ``count`` replicas of the paths from ``starts`` at each of ``steps`` grid times after 0.
+
+    Returns ``(values, merged)``: values[k, r, i] is path i of replica r
+    after step k (k = 0 holds the starts) and merged[k, r, i] tells whether
+    paths i and i + 1 of replica r share a cluster then.
+    """
+    m = len(starts)
+    flow = ReplicaFlow(np.tile(starts, count), np.repeat(np.arange(count), m), count, boundary=boundary, members=True)
+    values, merged = [], []
+    for k in range(steps + 1):
+        if k:
+            flow.step(t / steps, rng)
+        member = flow.member.reshape(count, m)
+        values.append(flow.pos[member])
+        merged.append(member[:, 1:] == member[:, :-1])
+    return np.array(values), np.array(merged)
 
 
 class TestCoalescingPaths:
+    """Coalescing paths read through the member map of ``ReplicaFlow(members=True)``."""
+
     def test_grid_zero_returns_starts(self):
-        b = sample_coalescing_paths((0.0, 1.0), [0.0], np.random.default_rng(0))
-        assert np.array_equal(b.values[:, 0], [0.0, 1.0])
+        flow = ReplicaFlow((0.0, 1.0), (0, 0), 1, members=True)
+        assert np.array_equal(flow.pos[flow.member], [0.0, 1.0])
 
     def test_pair_merge_probability(self):
         # difference of two free paths is a variance-2 Brownian motion, so
-        # P(merged by t) = 2 (1 - Phi(d / sqrt(2 t))); batches of far-apart
-        # pairs in one bundle are effectively independent
+        # P(merged by t) = 2 (1 - Phi(d / sqrt(2 t))); one replica per pair
         rng = np.random.default_rng(523)
         d, t = 1.0, 1.0
-        pairs_per_call, calls = 500, 40
-        grid = _grid(t, 50)
-        merged = 0
-        total = 0
-        for _ in range(calls):
-            starts = []
-            for j in range(pairs_per_call):
-                base = 1000.0 * j
-                starts += [base, base + d]
-            b = sample_coalescing_paths(starts, grid, rng)
-            merged += int(np.sum(b.merge_step[::2] >= 0))
-            total += pairs_per_call
+        total = 20_000
+        _, merged = _paths((0.0, d), total, rng, 50, t)
         target = 2.0 * (1.0 - norm.cdf(d / math.sqrt(2.0 * t)))
         se = math.sqrt(target * (1.0 - target) / total)
-        assert abs(merged / total - target) <= 3.5 * se
+        assert abs(merged[-1].mean() - target) <= 3.5 * se
 
     def test_monotone_and_merge_permanent(self):
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            b = sample_coalescing_paths((-1.0, -0.5, 0.2, 1.5), _grid(1.0, 40), rng)
-            assert np.all(np.diff(b.values, axis=0) >= 0.0)
-            for i, step in enumerate(b.merge_step):
-                if step >= 0:
-                    assert np.all(b.values[i, step:] == b.values[i + 1, step:])
+        values, merged = _paths((-1.0, -0.5, 0.2, 1.5), 100, rng, 40, 1.0)
+        assert np.all(np.diff(values, axis=2) >= 0.0)
+        assert np.all(merged[1:] >= merged[:-1])
+        gaps = np.diff(values, axis=2)
+        assert np.all(gaps[merged] == 0.0)
 
     def test_equal_starts_merge_at_zero(self):
-        b = sample_coalescing_paths((0.0, 0.0, 1.0), _grid(0.5, 10), np.random.default_rng(3))
-        assert b.merge_step[0] == 0
-        assert np.all(b.values[0] == b.values[1])
+        values, merged = _paths((0.0, 0.0, 1.0), 1, np.random.default_rng(3), 10, 0.5)
+        assert np.all(merged[:, 0, 0])
+        assert np.all(values[:, 0, 0] == values[:, 0, 1])
 
     def test_absorbing_frozen_after_hit(self):
         rng = np.random.default_rng(29)
         bnd = FlowBoundary("absorbing", (0.0, 4.0))
+        values, _ = _paths((1.0, 3.0), 200, rng, 80, 2.0, boundary=bnd)
         frozen_seen = 0
-        for _ in range(200):
-            b = sample_coalescing_paths((1.0, 3.0), _grid(2.0, 80), rng, boundary=bnd)
-            for i in range(2):
-                path = b.values[i]
-                hits = np.flatnonzero(np.isin(path, (0.0, 4.0)))
-                if len(hits):
-                    frozen_seen += 1
-                    k = hits[0]
-                    assert np.all(path[k:] == path[k])
+        for path in values.reshape(81, -1).T:
+            hits = np.flatnonzero(np.isin(path, (0.0, 4.0)))
+            if len(hits):
+                frozen_seen += 1
+                assert np.all(path[hits[0]:] == path[hits[0]])
         assert frozen_seen > 100
 
     def test_absorbing_start_on_barrier_frozen(self):
         bnd = FlowBoundary("absorbing", (0.0,))
-        b = sample_coalescing_paths((0.0,), _grid(1.0, 20), np.random.default_rng(1), boundary=bnd)
-        assert np.all(b.values[0] == 0.0)
+        values, _ = _paths((0.0,), 1, np.random.default_rng(1), 20, 1.0, boundary=bnd)
+        assert np.all(values == 0.0)
 
     def test_reflecting_sides_preserved(self):
         rng = np.random.default_rng(31)
         bnd = FlowBoundary("reflecting", (0.0, 4.0))
-        for _ in range(100):
-            b = sample_coalescing_paths((-1.0, 1.0, 3.0, 5.0), _grid(1.0, 50), rng, boundary=bnd)
-            assert np.all(b.values[0] <= 0.0)
-            assert np.all((b.values[1] >= 0.0) & (b.values[1] <= 4.0))
-            assert np.all((b.values[2] >= 0.0) & (b.values[2] <= 4.0))
-            assert np.all(b.values[3] >= 4.0)
+        values, _ = _paths((-1.0, 1.0, 3.0, 5.0), 100, rng, 50, 1.0, boundary=bnd)
+        assert np.all(values[:, :, 0] <= 0.0)
+        assert np.all((values[:, :, 1:3] >= 0.0) & (values[:, :, 1:3] <= 4.0))
+        assert np.all(values[:, :, 3] >= 4.0)
 
     def test_reflecting_start_on_barrier_rejected(self):
         bnd = FlowBoundary("reflecting", (0.0,))
         with pytest.raises(ValueError):
-            sample_coalescing_paths((0.0, 1.0), _grid(1.0, 10), np.random.default_rng(0), boundary=bnd)
+            ReplicaFlow((0.0, 1.0), (0, 0), 1, boundary=bnd, members=True)
 
     def test_cross_barrier_pair_never_merges(self):
         rng = np.random.default_rng(37)
         bnd = FlowBoundary("reflecting", (0.0,))
-        for _ in range(200):
-            b = sample_coalescing_paths((-0.2, 0.2), _grid(1.0, 50), rng, boundary=bnd)
-            assert b.merge_step[0] == -1
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sample_coalescing_paths((0.0,), [0.5, 1.0], np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_coalescing_paths((1.0, 0.0), [0.0, 1.0], np.random.default_rng(0))
+        _, merged = _paths((-0.2, 0.2), 200, rng, 50, 1.0, boundary=bnd)
+        assert not np.any(merged)
 
 
 class TestReplicaIsolation:
@@ -242,35 +233,6 @@ class TestObservedMasses:
         paths.charged(-1.0, 1.0)
 
 
-class TestOneSidedReflected:
-    def test_anchor_at_zero(self):
-        y = sample_one_sided_reflected(2.0, "below", [0.0, 0.5, 1.0], np.random.default_rng(0))
-        assert y[0] == 2.0
-
-    def test_side_bound(self):
-        rng = np.random.default_rng(41)
-        for _ in range(500):
-            below = sample_one_sided_reflected(1.0, "below", _grid(1.0, 20), rng)
-            assert np.all(below <= 1.0)
-            above = sample_one_sided_reflected(1.0, "above", _grid(1.0, 20), rng)
-            assert np.all(above >= 1.0)
-
-    def test_folded_mean(self):
-        # E |Y(t) - anchor| = sqrt(2 t / pi)
-        rng = np.random.default_rng(43)
-        t, n = 1.0, 100_000
-        vals = np.empty(n)
-        for i in range(n):
-            vals[i] = sample_one_sided_reflected(0.0, "above", [0.0, t], rng)[-1]
-        target = math.sqrt(2.0 * t / math.pi)
-        se = vals.std(ddof=1) / math.sqrt(n)
-        assert abs(vals.mean() - target) <= 3 * se
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            sample_one_sided_reflected(0.0, "left", [0.0, 1.0], np.random.default_rng(0))
-
-
 class TestStepFunction:
     def test_half_open_convention(self):
         sf = StepFunction(pairs=((0.0, 1.0),), coefficients=(2.0,))
@@ -363,20 +325,3 @@ class TestDiffusiveScaling:
             float(np.max(np.abs(empirical_lo - brownian_cdf))),
         )
         assert ks < 0.05
-
-
-class TestSuggestedStep:
-    def test_caps_crossing_probability(self):
-        from scbm.flow import suggested_step
-
-        starts = (0.0, 0.5, 3.0)
-        dt = suggested_step(starts, crossing_cap=0.2)
-        assert math.exp(-(0.5**2) / dt) == pytest.approx(0.2, rel=1e-12)
-
-    def test_degenerate_inputs(self):
-        from scbm.flow import suggested_step
-
-        assert suggested_step((1.0,)) == 1.0
-        assert suggested_step((1.0, 1.0)) == 1.0
-        with pytest.raises(ValueError):
-            suggested_step((0.0, 1.0), crossing_cap=1.5)

@@ -15,14 +15,13 @@ from scbm.harness import (
     ReflectedLaplaceConfig,
     VacancyBoundConfig,
     _absorbing_lhs,
-    _equality_report,
     _mc_batched,
+    _report,
     _uniform_grid,
     absorbing_extinction_check,
     hybrid_grid,
     interval_vacancy_bound_check,
     laplace_duality_check,
-    mc_estimate,
     occupation_duality_check,
     reflected_gap_vacancy_exact,
     reflected_laplace_smoke,
@@ -40,51 +39,60 @@ LAPLACE_BASE = LaplaceDualityConfig(
 )
 
 
-def _const(value):
-    def f(rng):
-        return value
-
-    return f
+def _const(value, rng, count):
+    return np.full(count, value)
 
 
-def _gauss(rng):
-    return float(rng.normal())
+def _gauss(rng, count):
+    return rng.normal(size=count)
 
 
 class TestMCEstimate:
+    """The batched replica driver ``_mc_batched``."""
+
     def test_constant_functional(self):
-        est = mc_estimate(_const(3.5), 100, seed=1)
+        est = _mc_batched(partial(_const, 3.5), 100, seed=1, stream=0)
         assert est.mean == 3.5
         assert est.stderr == 0.0
 
     def test_stderr_scaling(self):
-        a = mc_estimate(_gauss, 2000, seed=2)
-        b = mc_estimate(_gauss, 8000, seed=3)
+        a = _mc_batched(_gauss, 2000, seed=2, stream=0)
+        b = _mc_batched(_gauss, 8000, seed=3, stream=0)
         assert b.stderr == pytest.approx(a.stderr / 2.0, rel=0.2)
 
     def test_deterministic(self):
-        a = mc_estimate(_gauss, 500, seed=42)
-        b = mc_estimate(_gauss, 500, seed=42)
+        a = _mc_batched(_gauss, 500, seed=42, stream=0)
+        b = _mc_batched(_gauss, 500, seed=42, stream=0)
         assert a == b
 
     def test_thread_count_invariant(self):
-        a = mc_estimate(_gauss, 400, seed=42, threads=1)
-        b = mc_estimate(_gauss, 400, seed=42, threads=2)
+        a = _mc_batched(_gauss, 400, seed=42, stream=0, threads=1)
+        b = _mc_batched(_gauss, 400, seed=42, stream=0, threads=2)
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_needs_two_replicas(self):
         with pytest.raises(ValueError):
-            mc_estimate(_gauss, 1, seed=0)
+            _mc_batched(_gauss, 1, seed=0, stream=0)
 
 
 class TestReports:
     def test_swap_flips_z_sign(self):
         lhs = MCEstimate(mean=0.5, stderr=0.01, n=100, seed=0)
         rhs = MCEstimate(mean=0.52, stderr=0.01, n=100, seed=0)
-        fwd = _equality_report("x", lhs, rhs)
-        rev = _equality_report("x", rhs, lhs)
+        fwd = _report("x", lhs, rhs)
+        rev = _report("x", rhs, lhs)
         assert fwd.z_score == pytest.approx(-rev.z_score)
         assert fwd.verdict == rev.verdict
+
+    def test_one_sided_verdict_at_three_spreads_below(self):
+        # a one-sided bound fails only when lhs sits more than 3 pooled SE below rhs
+        rhs = MCEstimate(mean=0.5, stderr=0.03, n=100, seed=0)
+        for offset, verdict in ((-0.149, "one_sided_ok"), (-0.151, "inconsistent"), (0.4, "one_sided_ok")):
+            lhs = MCEstimate(mean=0.5 + offset, stderr=0.04, n=100, seed=0)
+            rep = _report("x", lhs, rhs, one_sided=True)
+            assert rep.verdict == verdict
+            assert rep.z_score == pytest.approx(offset / 0.05)
+            assert rep.z_score == _report("x", lhs, rhs).z_score
 
     def test_exact_rhs_formula(self):
         # hand value: (2 Phi(1) - 1)^2
