@@ -11,17 +11,14 @@ with finite large-z limit ``u_t(inf) = ((1+beta)/(gamma*beta*t))**(1/beta)``.
 Because that limit is finite, the time-t transition from mass ``x`` is compound
 Poisson: a Poisson(x * u_t(inf)) number of fragments, each drawn from the
 normalized one-sided entrance law.  For ``beta == 1`` the fragment law is
-exponential and the sampler is exact; for ``beta < 1`` fragments are drawn by
-inverse transform from a tabulated CDF (numerical Laplace inversion), so every
-result is tagged approximate.
+exponential; for ``beta < 1`` fragments are drawn exactly from Kanter's
+representation of the stable law (see :func:`_fragments`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +29,6 @@ __all__ = [
     "extinction_prob",
     "sample_transition",
     "sample_entrance_mass",
-    "entrance_table",
-    "EntranceTable",
 ]
 
 
@@ -54,11 +49,6 @@ class BranchingParams:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-
-    @property
-    def exact(self) -> bool:
-        """True when transition sampling is exact (beta == 1 or no branching)."""
-        return self.beta == 1.0 or self.gamma == 0.0
 
 
 def cumulant(params: BranchingParams, t: float, z):
@@ -103,98 +93,59 @@ def extinction_prob(params: BranchingParams, t: float, x: float) -> float:
     return math.exp(-x * cumulant_limit(params, t))
 
 
-# ---------------------------------------------------------------------------
-# Entrance-law tabulation for beta < 1
-# ---------------------------------------------------------------------------
+def _kanter(v, beta: float):
+    """Kanter's function K(v) = sin(beta v) sin((1-beta) v)^((1-beta)/beta) / sin(v)^(1/beta) on (0, pi)."""
+    return np.sin(beta * v) * np.sin((1.0 - beta) * v) ** ((1.0 - beta) / beta) / np.sin(v) ** (1.0 / beta)
 
 
-def _standard_fragment_laplace(s: complex, beta: float) -> complex:
-    # Laplace transform of the scale-free fragment law (unit mean):
-    # L(s) = 1 - s * (1 + s**beta) ** (-1/beta)
-    return 1.0 - s * (1.0 + s**beta) ** (-1.0 / beta)
+def _fragments(beta: float, rng: np.random.Generator, size=None):
+    """Exact draws of the unit-mean fragment law for ``beta < 1``; ``size=None`` returns a float.
 
+    The fragment law has Laplace transform L(s) = 1 - s (1 + s^beta)^(-1/beta),
+    so P(Y > y) has transform (1 + s^beta)^(-1/beta): it is the density of
+    W = S_beta G^(1/beta), with G ~ Gamma(1/beta) and S_beta positive stable
+    with transform e^(-s^beta), the generalized Mittag-Leffler law (Pillai,
+    1990).  So W = U Yhat, U uniform and Yhat the size-biased Y, and since
+    Gamma(a) = U^(1/a) Gamma(a + 1) in law, Yhat = S_beta Gamma(1 + 1/beta)^(1/beta).
+    With Kanter's S_beta = K(V) E^(-(1-beta)/beta), V uniform on (0, pi) and
+    E ~ Exp(1) (Kanter, 1975), undoing the size bias tilts each independent
+    factor by its own inverse: V gets density proportional to 1/K,
+    E^(-(1-beta)/beta) becomes G^(-(1-beta)/beta) and Gamma(1 + 1/beta)^(1/beta)
+    becomes E^(1/beta).  Hence Y = K(V) G^(-(1-beta)/beta) E^(1/beta), E at beta = 1.
 
-def _talbot_cdf(y: float, beta: float, nodes: int = 48) -> float:
-    # Fixed-Talbot inversion of L(s)/s, the ordinary Laplace transform of the CDF.
-    r = 2.0 * nodes / (5.0 * y)
-    total = 0.5 * (_standard_fragment_laplace(r, beta) / r).real * math.exp(r * y)
-    for k in range(1, nodes):
-        theta = k * math.pi / nodes
-        cot = math.cos(theta) / math.sin(theta)
-        s = r * theta * (cot + 1j)
-        sigma = theta + (theta * cot - 1.0) * cot
-        total += (cmath.exp(y * s) * (_standard_fragment_laplace(s, beta) / s) * (1 + 1j * sigma)).real
-    return total * r / nodes
-
-
-@dataclass(frozen=True)
-class EntranceTable:
-    """Tabulated CDF of the scale-free entrance fragment law for one beta.
-
-    Samples carry a Pareto tail of index 1 + beta beyond the table range
-    (matched continuously), so the heavy tail is not truncated.
+    K increases on (0, pi) from K(0+) = beta (1-beta)^((1-beta)/beta), so V is
+    drawn by rejection: propose V uniform and accept when U K(V) <= K(0+).  K at
+    the left edge of each of 64 cells bounds K in the cell from below, so most
+    rejections need no evaluation of K.
     """
-
-    beta: float
-    grid: np.ndarray
-    cdf: np.ndarray
-    tolerance: float
-    tail_start_u: float  # CDF value where the Pareto extension takes over
-
-    @property
-    def approx(self) -> bool:
-        return True
-
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        u = rng.random(size)
-        out = np.interp(u, self.cdf, self.grid)
-        tail = u > self.tail_start_u
-        if np.any(tail):
-            y_max = self.grid[-1]
-            survival = 1.0 - self.tail_start_u
-            out = np.where(
-                tail,
-                y_max * (survival / np.maximum(1.0 - u, 1e-300)) ** (1.0 / (1.0 + self.beta)),
-                out,
-            )
-        return out
-
-
-@lru_cache(maxsize=16)
-def entrance_table(beta: float, tolerance: float = 1e-6) -> EntranceTable:
-    """Build (and cache) the standardized entrance-law CDF table for ``beta``.
-
-    The law is scale free: a fragment at extinction rate theta is a table draw
-    divided by theta.  Tabulation error is checked against the exponential
-    closed form at beta = 1 in the test suite and stays below ``tolerance``.
-    """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    grid = np.geomspace(1e-8, 1e7, 3500)
-    cdf = np.array([_talbot_cdf(y, beta) for y in grid])
-    cdf = np.clip(np.maximum.accumulate(cdf), 0.0, 1.0)
-    return EntranceTable(
-        beta=beta,
-        grid=grid,
-        cdf=cdf,
-        tolerance=tolerance,
-        tail_start_u=float(cdf[-1]),
-    )
+    n = 1 if size is None else int(np.prod(size))
+    floor = beta * (1.0 - beta) ** ((1.0 - beta) / beta)
+    edge = np.append(floor, _kanter(np.arange(1, 65) * (np.pi / 64), beta))
+    k = np.empty(0)
+    while len(k) < n:
+        v = np.pi * (1.0 - rng.random(2 * (n - len(k)) + 16))  # in (0, pi]
+        u = rng.random(len(v))
+        near = u * edge[(v * (64 / np.pi)).astype(np.intp)] <= floor
+        kv = _kanter(v[near], beta)
+        k = np.concatenate((k, kv[u[near] * kv <= floor]))
+    y = k[:n] * rng.standard_gamma(1.0 / beta, n) ** (-(1.0 - beta) / beta) * rng.standard_exponential(n) ** (1.0 / beta)
+    return float(y[0]) if size is None else y.reshape(size)
 
 
 def sample_entrance_mass(params: BranchingParams, r: float, rng: np.random.Generator, size=None):
     """Draw from the normalized entrance law at age ``r``.
 
     The normalized law has Laplace transform 1 - u_r(z)/u_r(inf) and mean
-    1/u_r(inf).  For beta = 1 that is exactly Exponential(rate u_r(inf)); for
-    beta < 1 it is a scaled table draw (approximate, tolerance in the table).
+    1/u_r(inf).  For beta = 1 that is Exponential(rate u_r(inf)); for
+    beta < 1 it is an exact fragment draw (:func:`_fragments`) scaled by
+    1/u_r(inf).
     """
     if r <= 0:
         raise ValueError(f"age must be > 0, got {r}")
     theta = cumulant_limit(params, r)
     if params.beta == 1.0:
         return rng.exponential(1.0 / theta, size)
-    return entrance_table(params.beta).sample(rng, size) / theta
+    return _fragments(params.beta, rng, size) / theta
 
 
 def _compound_step(theta: float, x, beta: float, rng: np.random.Generator):
@@ -205,22 +156,20 @@ def _compound_step(theta: float, x, beta: float, rng: np.random.Generator):
         # sum of N exponential(theta) fragments is Gamma(N, 1/theta); shape 0 yields 0
         return rng.gamma(counts, 1.0 / theta)
     flat = counts.ravel()
-    total = int(flat.sum())
-    out = np.zeros(flat.shape, dtype=float)
-    if total:
-        draws = entrance_table(beta).sample(rng, total) / theta
-        segment = np.repeat(np.arange(len(flat)), flat)
-        out = np.bincount(segment, weights=draws, minlength=len(flat))
-    return out.reshape(counts.shape)
+    if not flat.any():  # np.bincount would return integers
+        return np.zeros(counts.shape)
+    draws = _fragments(beta, rng, int(flat.sum())) / theta
+    segment = np.repeat(np.arange(len(flat)), flat)
+    return np.bincount(segment, weights=draws, minlength=len(flat)).reshape(counts.shape)
 
 
 def sample_transition(params: BranchingParams, t: float, x, rng: np.random.Generator, size=None):
     """Draw from the time-t transition law started at mass ``x``.
 
-    Exact for beta = 1 (Poisson number of exponential fragments, i.e. the
-    Poisson-gamma mixture whose Laplace transform reproduces exp(-x u_t(z))).
-    For beta < 1 the same decomposition runs with table-sampled fragments;
-    results are approximate at the table tolerance.  One call covers any
+    A Poisson(x u_t(inf)) number of fragments from the normalized entrance
+    law, exact at every beta: at beta = 1 their sum is the Poisson-gamma
+    mixture whose Laplace transform reproduces exp(-x u_t(z)), and for
+    beta < 1 the fragments come from :func:`_fragments`.  One call covers any
     ``t``: the decomposition holds for every time, and the fragment count
     Poisson(x u_t(inf)) falls as ``t`` grows.  ``x`` may be a scalar or
     array; with scalar ``x``, ``size`` requests that many independent draws.

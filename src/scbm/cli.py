@@ -117,6 +117,7 @@ def _verify_settings(settings) -> list[tuple[int, int]]:
     _require(section, "barrier_lo", lo.is_integer(), "an integer barrier")
     _require(section, "barrier_hi", hi.is_integer() and hi - lo >= 2, "an integer barrier at least 2 above barrier_lo")
     _require(section, "radius", 1 <= settings["radius"] < math.inf, "a finite radius >= 1, the barrier margin")
+    _require(section, "control_min", 0 <= settings["control_min"] < math.inf, "a finite residual threshold >= 0")
     for key in ("residual_tol", "array_tol", "tv_tol", "budget_tol"):
         _require(section, key, 0 < settings[key] < math.inf, "a positive finite tolerance")
     _require(section, "array_times", all(0 <= t < math.inf for t in settings["array_times"]), "finite times >= 0")
@@ -341,6 +342,22 @@ def _duality_configs(settings):
     _require("scbm-duality", "vacancy_s2", s1 < s2 < math.inf, "a finite time above vacancy_s1")
     params = _params_from(settings)
     _require("scbm-duality", "gamma", params.gamma > 0, "gamma > 0: the checks sample the branching process")
+    for lo, hi in (
+        ("laplace_mu_lo", "laplace_mu_hi"),
+        ("laplace_pair_lo", "laplace_pair_hi"),
+        ("absorbing_a", "absorbing_b"),
+        ("occupation_y1", "occupation_y2"),
+        ("smoke_barrier_lo", "smoke_barrier_hi"),
+    ):
+        _require("scbm-duality", lo, math.isfinite(settings[lo]), "a finite value")
+        _require("scbm-duality", hi, settings[lo] < settings[hi] < math.inf, f"a finite value above {lo}")
+    for key in ("laplace_coeff", "control_scale", "vacancy_a", "vacancy_L"):
+        _require("scbm-duality", key, 0 < settings[key] < math.inf, "a positive finite value")
+    for key in ("absorbing_c", "occupation_c"):
+        _require("scbm-duality", key, 0 <= settings[key] < math.inf, "a finite half-width >= 0")
+    levels = (settings["laplace_pair_lo"], settings["laplace_pair_hi"])
+    for key in ("smoke_barrier_lo", "smoke_barrier_hi"):
+        _require("scbm-duality", key, settings[key] not in levels, "a barrier off the Laplace pair points")
     try:
         lap = LaplaceDualityConfig(
             params=params,
@@ -480,7 +497,7 @@ def _run_integral_test(settings, seed, threads):
     _require(section, "horizon", 1 < settings["horizon"] < math.inf, "a finite horizon > 1")
     _require(section, "series_n", settings["series_n"] >= 1, "at least one term")
     _require(section, "delta", 0.5 < settings["delta"] < 1, "delta in (1/2, 1)")
-    _require(section, "seq_n", settings["seq_n"] >= 0, "seq_n >= 0")
+    _require(section, "seq_n", settings["seq_n"] >= 1, "seq_n >= 1")
     _require(section, "block_index", 1 <= settings["block_index"] <= settings["seq_n"], "a block index in 1..seq_n")
     _require(section, "block_n", settings["block_n"] >= 2, "at least two replicas")
     _require(section, "envelope_eps", 0 < settings["envelope_eps"] < 0.5, "envelope_eps in (0, 1/2)")
@@ -528,7 +545,9 @@ def _run_integral_test(settings, seed, threads):
             rows.append(_row("integral-test", seed, n, "escape_coupling_bound", g.label, n, bounds.coupling[n], "", ""))
 
     idx = settings["block_index"]
-    if 1 <= idx < len(triple.times):
+    if idx >= k:  # the growth stopped tripling before block idx; the value is the last sequence index
+        rows.append(_row("integral-test", seed, idx, "block_survival_skipped", g.label, idx, k - 1, "", "growth_exhausted"))
+    else:
         prob, empty = block_survival_closed_form(params, idx, triple)
         rows.append(_row("integral-test", seed, idx, "block_survival_closed_form", g.label, idx, prob, "", "empty" if empty else ""))
         if not empty:

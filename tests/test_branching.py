@@ -8,9 +8,10 @@ from scipy import stats
 
 from scbm.branching import (
     BranchingParams,
+    _fragments,
+    _kanter,
     cumulant,
     cumulant_limit,
-    entrance_table,
     extinction_prob,
     sample_entrance_mass,
     sample_transition,
@@ -219,10 +220,6 @@ class TestTransitionSampler:
             se = vals.std(ddof=1) / math.sqrt(n)
             assert abs(vals.mean() - target) <= 3 * se
 
-    def test_beta_half_flagged_approximate(self):
-        assert not P_HALF.exact
-        assert P21.exact
-
     def test_domain_error(self):
         with pytest.raises(ValueError):
             sample_transition(P21, 0.0, 1.0, np.random.default_rng(0))
@@ -253,10 +250,10 @@ class TestEntranceSampler:
         res = stats.kstest(draws, "expon", args=(0, 1.0))
         assert res.pvalue > 0.01
 
-    def test_table_matches_exponential_at_beta_one(self):
-        table = entrance_table(1.0)
-        exact = 1.0 - np.exp(-table.grid)
-        assert np.max(np.abs(table.cdf - exact)) < 1e-6
+    def test_scalar_without_size(self):
+        rng = np.random.default_rng(0)
+        assert isinstance(sample_entrance_mass(P_HALF, 1.0, rng), float)
+        assert isinstance(sample_entrance_mass(P21, 1.0, rng), float)
 
     def test_beta_half_transform_identity(self):
         rng = np.random.default_rng(31)
@@ -283,6 +280,64 @@ class TestEntranceSampler:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             sample_entrance_mass(P21, 0.0, np.random.default_rng(0))
+
+
+def _laplace_z(draws, s, beta):
+    """z of the empirical transform at s against L(s) = 1 - s (1 + s^beta)^(-1/beta)."""
+    vals = np.exp(-s * draws)
+    return (vals.mean() - (1.0 - s * (1.0 + s**beta) ** (-1.0 / beta))) / (vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
+def _kanter_untilted(beta, rng, n):
+    """K(V) with V uniform on (0, pi): Kanter's factor of the positive stable law, before any tilt."""
+    return _kanter(np.pi * (1.0 - rng.random(n)), beta)
+
+
+class TestFragmentLaw:
+    """The exact beta < 1 fragment law Y: unit mean, P(Y > y) the density of W = S_beta Gamma(1/beta)^(1/beta)."""
+
+    @pytest.mark.parametrize("beta", [0.5, 0.75, 0.9, 0.999])
+    def test_laplace_transform(self, beta):
+        draws = _fragments(beta, np.random.default_rng(53), 2_000_000)
+        for s in (0.1, 1.0, 10.0):
+            assert abs(_laplace_z(draws, s, beta)) <= 3
+
+    @pytest.mark.parametrize("beta", [0.5, 0.75, 0.9, 0.999])
+    def test_bounded_identity(self, beta):
+        # E[min(Y, w)] is the integral of P(Y > y) over [0, w], which is P(W <= w);
+        # W comes from Kanter's representation of the stable law, untilted
+        rng = np.random.default_rng(59)
+        n = 1_000_000
+        y = _fragments(beta, rng, n)
+        stable = _kanter_untilted(beta, rng, n) * rng.exponential(size=n) ** (-(1.0 - beta) / beta)
+        w_draws = stable * rng.gamma(1.0 / beta, size=n) ** (1.0 / beta)
+        for w in (0.1, 1.0, 10.0):
+            lhs, rhs = np.minimum(y, w), (w_draws <= w).astype(float)
+            se = math.sqrt(lhs.var(ddof=1) / n + rhs.var(ddof=1) / n)
+            assert abs(lhs.mean() - rhs.mean()) <= 3 * se
+
+    def test_untilted_angle_fails(self):
+        # negative control: the same product with V uniform, without the 1/K tilt
+        beta, n = 0.5, 2_000_000
+        rng = np.random.default_rng(61)
+        wrong = (
+            _kanter_untilted(beta, rng, n)
+            * rng.gamma(1.0 / beta, size=n) ** (-(1.0 - beta) / beta)
+            * rng.exponential(size=n) ** (1.0 / beta)
+        )
+        for s in (0.1, 1.0, 10.0):
+            assert abs(_laplace_z(wrong, s, beta)) > 10
+
+    def test_kanter_increases_from_the_rejection_bound(self):
+        # the rejection step needs K(v) >= K(0+) = beta (1-beta)^((1-beta)/beta) on (0, pi),
+        # and its cell bounds need K increasing
+        v = np.linspace(0.0, np.pi, 200_001)[1:-1]
+        for beta in np.linspace(0.05, 0.99, 95):
+            floor = beta * (1.0 - beta) ** ((1.0 - beta) / beta)
+            k = _kanter(v, beta)
+            assert np.all(k >= floor * (1.0 - 1e-12))
+            assert np.all(np.diff(k) > 0)
+            assert k[0] == pytest.approx(floor, rel=1e-6)
 
 
 def _chain(params, x0, times, rng, size):

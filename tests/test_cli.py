@@ -113,6 +113,17 @@ class TestCliRuns:
         assert (out1 / "survival.csv").read_bytes() == (out2 / "survival.csv").read_bytes()
         assert (out1 / "survival.svg").read_bytes() == (out2 / "survival.svg").read_bytes()
 
+    @pytest.mark.parametrize("growth, last", [("constant:1", 0), ("cappedexp:100", 3)])
+    def test_block_rows_skipped_when_growth_exhausted(self, tmp_path, growth, last):
+        cfg = _write(tmp_path, f"[integral-test]\ng = {growth}\nblock_index = 5\nseries_n = 3\n")
+        out = tmp_path / "out"
+        assert main(["integral-test", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "integral-test.csv").read_text().splitlines()[1:]]
+        skipped = [r for r in rows if r[3] == "block_survival_skipped"]
+        assert len(skipped) == 1
+        assert (skipped[0][2], skipped[0][6], skipped[0][8]) == ("5", str(last), "growth_exhausted")
+        assert not any(r[3].startswith("block_survival_") and r[3] != "block_survival_skipped" for r in rows)
+
     def test_duality_thread_count_invariant(self, tmp_path):
         cfg = _write(tmp_path, FAST_DUALITY)
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
@@ -234,6 +245,56 @@ class TestCliErrors:
             ("csbp-check", "flow_tol = 0", "flow_tol"),
             ("csbp-check", "anchor_tol = -1", "anchor_tol"),
             ("csbp-check", "ks_pmin = 1", "ks_pmin"),
+            ("scbm-duality", "laplace_mu_lo = nan", "laplace_mu_lo"),
+            ("scbm-duality", "laplace_mu_lo = -inf", "laplace_mu_lo"),
+            ("scbm-duality", "laplace_mu_hi = nan", "laplace_mu_hi"),
+            ("scbm-duality", "laplace_mu_hi = inf", "laplace_mu_hi"),
+            ("scbm-duality", "vacancy_L = nan", "vacancy_L"),
+            ("scbm-duality", "vacancy_L = inf", "vacancy_L"),
+            ("scbm-duality", "vacancy_L = -inf", "vacancy_L"),
+            ("scbm-duality", "control_scale = nan", "control_scale"),
+            ("scbm-duality", "control_scale = inf", "control_scale"),
+            ("scbm-duality", "control_scale = -inf", "control_scale"),
+            ("scbm-duality", "absorbing_a = nan", "absorbing_a"),
+            ("scbm-duality", "absorbing_a = -inf", "absorbing_a"),
+            ("scbm-duality", "absorbing_a = inf", "absorbing_a"),
+            ("scbm-duality", "absorbing_b = nan", "absorbing_b"),
+            ("scbm-duality", "absorbing_b = inf", "absorbing_b"),
+            ("scbm-duality", "absorbing_c = nan", "absorbing_c"),
+            ("scbm-duality", "absorbing_c = inf", "absorbing_c"),
+            ("scbm-duality", "absorbing_c = -inf", "absorbing_c"),
+            ("scbm-duality", "occupation_y1 = nan", "occupation_y1"),
+            ("scbm-duality", "occupation_y1 = -inf", "occupation_y1"),
+            ("scbm-duality", "occupation_y1 = inf", "occupation_y1"),
+            ("scbm-duality", "occupation_y2 = nan", "occupation_y2"),
+            ("scbm-duality", "occupation_y2 = inf", "occupation_y2"),
+            ("scbm-duality", "occupation_c = nan", "occupation_c"),
+            ("scbm-duality", "occupation_c = inf", "occupation_c"),
+            ("scbm-duality", "occupation_c = -inf", "occupation_c"),
+            ("scbm-duality", "laplace_pair_lo = inf", "laplace_pair_lo"),
+            ("scbm-duality", "laplace_pair_lo = nan", "laplace_pair_lo"),
+            ("scbm-duality", "laplace_pair_lo = -inf", "laplace_pair_lo"),
+            ("scbm-duality", "laplace_pair_hi = -inf", "laplace_pair_hi"),
+            ("scbm-duality", "laplace_pair_hi = nan", "laplace_pair_hi"),
+            ("scbm-duality", "laplace_pair_hi = inf", "laplace_pair_hi"),
+            ("scbm-duality", "laplace_coeff = -inf", "laplace_coeff"),
+            ("scbm-duality", "laplace_coeff = nan", "laplace_coeff"),
+            ("scbm-duality", "laplace_coeff = inf", "laplace_coeff"),
+            ("scbm-duality", "vacancy_a = -inf", "vacancy_a"),
+            ("scbm-duality", "vacancy_a = nan", "vacancy_a"),
+            ("scbm-duality", "vacancy_a = inf", "vacancy_a"),
+            ("scbm-duality", "smoke_barrier_lo = inf", "smoke_barrier_lo"),
+            ("scbm-duality", "smoke_barrier_lo = nan", "smoke_barrier_lo"),
+            ("scbm-duality", "smoke_barrier_lo = -inf", "smoke_barrier_lo"),
+            ("scbm-duality", "smoke_barrier_hi = -inf", "smoke_barrier_hi"),
+            ("scbm-duality", "smoke_barrier_hi = nan", "smoke_barrier_hi"),
+            ("scbm-duality", "smoke_barrier_hi = inf", "smoke_barrier_hi"),
+            ("scbm-duality", "smoke_barrier_lo = -1", "smoke_barrier_lo"),
+            ("scbm-duality", "smoke_barrier_hi = 1", "smoke_barrier_hi"),
+            ("verify-duality", "control_min = nan", "control_min"),
+            ("verify-duality", "control_min = inf", "control_min"),
+            ("verify-duality", "control_min = -inf", "control_min"),
+            ("integral-test", "seq_n = 0", "seq_n"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, line, key):
