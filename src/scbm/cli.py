@@ -367,8 +367,7 @@ def _duality_configs(settings):
             coefficients=(settings["laplace_coeff"],),
             n=settings["laplace_n"],
         )
-        occ_eq = OccupationDualityConfig(
-            params=BranchingParams(gamma=0.0),
+        occ = dict(
             window=(settings["occupation_y1"], settings["occupation_y2"]),
             c=settings["occupation_c"],
             t=settings["occupation_t"],
@@ -383,8 +382,8 @@ def _duality_configs(settings):
                 t=settings["absorbing_t"],
                 n=settings["absorbing_n"],
             ),
-            occupation_eq=occ_eq,
-            occupation_bound=replace(occ_eq, params=params),
+            occupation_eq=OccupationDualityConfig(params=BranchingParams(gamma=0.0), spacing=0.5, **occ),
+            occupation_bound=OccupationDualityConfig(params=params, **occ),
             vacancy=VacancyBoundConfig(
                 params=params,
                 a=settings["vacancy_a"],
@@ -581,7 +580,7 @@ SURVIVAL_SCHEMA = {
     "g": ("str", "constant:1"),
     "g_alt": ("str", ""),
     "dt": ("float", 0.1),
-    "t0": ("float", 0.01),
+    "spacing": ("float", 0.05),
     "batch": ("int", 32),
     "expect_decreasing": ("bool", False),
     "expect_domination": ("bool", False),
@@ -598,14 +597,16 @@ def _run_survival(settings, seed, threads):
         raise ConfigError(str(exc)) from exc
 
     h = settings["horizons"]
-    _require("survival", "gamma", params.gamma > 0, "gamma > 0: survival ensembles start from the entrance law")
+    _require("survival", "gamma", params.gamma > 0, "gamma > 0: survival ensembles read branching masses")
     _require("survival", "truncation", 0 <= settings["truncation"] < math.inf, "a finite truncation >= 0")
     ok = bool(h) and 0 < h[0] and h[-1] < math.inf and all(a < b for a, b in zip(h, h[1:]))
     _require("survival", "horizons", ok, "strictly increasing positive finite horizons")
     _require("survival", "replicas", settings["replicas"] >= 2, "at least two replicas")
     _require("survival", "batch", settings["batch"] >= 1, "batch >= 1")
-    for key in ("dt", "t0"):
-        _require("survival", key, 0 < settings[key] < math.inf, "a positive finite time")
+    _require("survival", "dt", 0 < settings["dt"] < math.inf, "a positive finite time")
+    _require("survival", "spacing", 0 < settings["spacing"] < math.inf, "a positive finite lattice spacing")
+    _require("survival", "expect_decreasing", not settings["expect_decreasing"] or len(h) >= 2, "at least two horizons")
+    _require("survival", "expect_domination", not settings["expect_domination"] or g_alt is not None, "a g_alt to compare")
     cfgs = [
         SurvivalConfig(
             params=params,
@@ -613,7 +614,7 @@ def _run_survival(settings, seed, threads):
             truncation=settings["truncation"],
             horizons=tuple(h),
             replicas=settings["replicas"],
-            t0=settings["t0"],
+            spacing=settings["spacing"],
             dt=settings["dt"],
             batch=settings["batch"],
         )
@@ -635,7 +636,7 @@ def _run_survival(settings, seed, threads):
         ok = all(a > b for a, b in zip(fr, fr[1:]))
         failed |= not ok
         rows.append(_row("survival", seed, "", "decreasing_trend", results[0].g_label, "", ok, "", "pass" if ok else "fail"))
-    if settings["expect_domination"] and len(results) == 2:
+    if settings["expect_domination"]:
         ok = all(b >= a for a, b in zip(results[0].fractions, results[1].fractions))
         failed |= not ok
         rows.append(
@@ -697,6 +698,8 @@ def main(argv=None) -> int:
             run["out"] = args.out
         if args.svg is not None:
             run["svg"] = True
+        _require("run", "seed", run["seed"] >= 0, "a seed >= 0")
+        _require("run", "threads", run["threads"] >= 1, "threads >= 1")
         schema, handler = SUBCOMMANDS[args.command]
         settings = apply_schema(args.command, sections.get(args.command, {}), schema)
         known = set(SUBCOMMANDS) | {"run", ""}

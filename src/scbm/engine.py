@@ -10,16 +10,13 @@ total mass does not see the coalescence.  A cluster whose mass hits zero is
 gone.  Masses are sampled when a reader observes them, never per step (see
 :class:`~scbm.flow.ReplicaFlow`).
 
-:func:`init_ensemble` builds many independent copies of X from a diffuse
-initial measure mu, started at a small burn-in age t0: each copy holds a
-Poisson(mu(R) u_t0(inf)) number of excursions alive at t0, born at
-mu-distributed points, with masses from the entrance law at age t0.  Spatial
-coalescence before t0 is ignored; that bias shrinks with t0, while the total
-mass law is exact for every t0 (the entrance law chains through the
-transition semigroup).  Without branching (gamma = 0) there is no entrance law
-and :func:`atomize_measure` discretizes the measure deterministically, with
-points exactly at interval edges so that barrier hits of the extremal paths
-are not displaced.
+:func:`init_ensemble` builds many independent copies of X at time 0 on a
+lattice.  The excursions born in a basin B, taken together, have at time t
+the law of one branching transition from mu(B); so each lattice cell starts
+as one cluster carrying the measure of its cell, pending from time 0.  The
+only approximation is the spatial lattice, which shrinks with the spacing;
+the total-mass law is exact at every spacing.  Interval edges are lattice
+points, so barrier hits of the extremal paths are not displaced.
 """
 
 from __future__ import annotations
@@ -29,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import BranchingParams, cumulant_limit, sample_entrance_mass
+from .branching import BranchingParams
 from .flow import FlowBoundary, ReplicaFlow
 
-__all__ = ["MeasureSpec", "init_ensemble", "atomize_measure"]
+__all__ = ["MeasureSpec", "init_ensemble"]
 
 
 @dataclass(frozen=True)
@@ -68,54 +65,30 @@ class MeasureSpec:
         total += sum(m for loc, m in self.atoms if u <= loc <= v)
         return total
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Locations i.i.d. from the normalized measure."""
-        if self.total_mass <= 0:
-            raise ValueError("cannot sample from a null measure")
-        weights = [hi - lo for lo, hi in self.intervals] + [m for _, m in self.atoms]
-        probs = np.asarray(weights) / self.total_mass
-        which = rng.choice(len(weights), size=size, p=probs)
-        out = np.empty(size)
-        for idx in range(len(self.intervals)):
-            sel = which == idx
-            lo, hi = self.intervals[idx]
-            out[sel] = rng.uniform(lo, hi, int(sel.sum()))
-        for k, (loc, _) in enumerate(self.atoms):
-            out[which == len(self.intervals) + k] = loc
-        return out
-
 
 def init_ensemble(
     mu: MeasureSpec,
-    t0: float,
-    params: BranchingParams,
-    rng: np.random.Generator,
+    spacing: float,
     count: int,
+    params: BranchingParams | None = None,
     boundary: FlowBoundary | None = None,
 ) -> ReplicaFlow:
-    """``count`` independent populations alive at burn-in age ``t0``, as one replica flow.
+    """``count`` independent populations started at time 0 from ``mu`` on a lattice, as one replica flow.
 
-    Replica r holds a Poisson(mu(R) u_t0(inf)) number of clusters at
-    mu-distributed points, each with an entrance-law mass at age ``t0`` that
-    branches under ``params`` (sampled by :meth:`~scbm.flow.ReplicaFlow.observe`).
+    Every interval contributes equally spaced points, both edges included, at
+    most ``spacing`` apart; point atoms pass through.  With ``params`` each
+    point carries the measure of its own cell (h inside an interval, h/2 at
+    its edges, the atom's mass for an atom), pending from time 0 and sampled
+    by :meth:`~scbm.flow.ReplicaFlow.observe`.  Without ``params`` (no
+    branching) the flow has no masses.
     """
-    per = rng.poisson(mu.total_mass * cumulant_limit(params, t0), count)
-    total = int(per.sum())
-    locations = mu.sample(rng, total) if total else np.empty(0)
-    masses = sample_entrance_mass(params, t0, rng, size=total) if total else np.empty(0)
-    replica = np.repeat(np.arange(count), per)
-    return ReplicaFlow(locations, replica, count, boundary=boundary, masses=masses, params=params)
-
-
-def atomize_measure(mu: MeasureSpec, spacing: float) -> np.ndarray:
-    """Sorted start points of the deterministic discretization used without branching (gamma = 0).
-
-    Every interval contributes equally spaced points including both edges, and
-    point atoms pass through.  Without branching only positions drive the
-    events of interest, and the edge placement keeps extremal paths exact.
-    """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0 < spacing < math.inf:
+        raise ValueError("spacing must be positive and finite")
     parts = [np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / spacing)) + 1)) for lo, hi in mu.intervals]
-    parts.append(np.array([loc for loc, _ in mu.atoms], dtype=float))
-    return np.sort(np.concatenate(parts))
+    points = np.concatenate(parts + [np.array([loc for loc, _ in mu.atoms], dtype=float)])
+    masses = None
+    if params is not None:
+        cells = [np.diff(p, prepend=p[0]) / 2 + np.diff(p, append=p[-1]) / 2 for p in parts]
+        masses = np.tile(np.concatenate(cells + [np.array([m for _, m in mu.atoms], dtype=float)]), count)
+    replica = np.repeat(np.arange(count), len(points))
+    return ReplicaFlow(np.tile(points, count), replica, count, boundary=boundary, masses=masses, params=params)

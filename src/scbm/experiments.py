@@ -20,7 +20,7 @@ from scipy import integrate
 
 from .branching import BranchingParams, cumulant_limit, sample_transition
 from .engine import MeasureSpec, init_ensemble
-from .harness import MCEstimate, _effective_t0, _mc_batched, _run_batches, hybrid_grid
+from .harness import MCEstimate, _lattice_grid, _mc_batched, _run_batches
 
 __all__ = [
     "GrowthFunction",
@@ -464,7 +464,7 @@ class SurvivalConfig:
     truncation: float
     horizons: tuple[float, ...]
     replicas: int
-    t0: float = 0.01
+    spacing: float = 0.05
     dt: float = 0.1
     batch: int = 32
 
@@ -481,10 +481,10 @@ class SurvivalConfig:
             raise ValueError("batch must be >= 1")
         if not (0 < self.dt < math.inf):
             raise ValueError("dt must be positive and finite")
-        if not (0 < self.t0 < math.inf):
-            raise ValueError("t0 must be positive and finite")
+        if not (0 < self.spacing < math.inf):
+            raise ValueError("spacing must be positive and finite")
         if self.params.gamma <= 0:
-            raise ValueError("gamma must be > 0: survival ensembles start from the entrance law")
+            raise ValueError("gamma must be > 0: survival ensembles read branching masses")
 
 
 @dataclass(frozen=True)
@@ -499,7 +499,7 @@ class SurvivalResult:
 
 
 def _survival_grid(cfg: SurvivalConfig) -> np.ndarray:
-    base = hybrid_grid(_effective_t0(cfg.t0, cfg.horizons[0]), float(cfg.horizons[-1]), cfg.dt)
+    base = _lattice_grid(cfg.spacing, cfg.horizons[0], float(cfg.horizons[-1]), cfg.dt)
     return np.unique(np.concatenate((base, np.asarray(cfg.horizons, dtype=float))))
 
 
@@ -507,7 +507,7 @@ def _survival_batch(cfg: SurvivalConfig, rng: np.random.Generator, count: int) -
     """Per-replica rows: one survival indicator per horizon plus an alive flag."""
     mu = MeasureSpec(intervals=((-cfg.truncation, cfg.truncation),) if cfg.truncation > 0 else ())
     grid = _survival_grid(cfg)
-    system = init_ensemble(mu, float(grid[0]), cfg.params, rng, count)
+    system = init_ensemble(mu, cfg.spacing, count, cfg.params)
     horizon_set = {float(h): i for i, h in enumerate(cfg.horizons)}
     out = np.zeros((count, len(cfg.horizons) + 1))
     for k, dt in enumerate(np.diff(grid)):

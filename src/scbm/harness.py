@@ -14,6 +14,11 @@ replica id, pairs never merge across replicas and barriers act on each
 replica's local positions, so the replicas stay exactly independent while the
 fixed cost of a step is paid once per batch.  The batch size changes speed,
 not the law of a replica (it does change which random numbers a replica draws).
+
+Every measure-valued side starts at time 0 from :func:`~scbm.engine.init_ensemble`:
+one cluster per lattice cell of width ``spacing``, carrying the measure of its
+cell, stepped on :func:`_lattice_grid`.  The checks without branching start
+from the same lattice without masses.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .branching import BranchingParams, cumulant, cumulant_limit
-from .engine import MeasureSpec, atomize_measure, init_ensemble
+from .engine import MeasureSpec, init_ensemble
 from .flow import FlowBoundary, ReplicaFlow, StepFunction, step_integral_lebesgue
 
 __all__ = [
@@ -123,23 +128,20 @@ def _check_step(dt: float) -> None:
         raise ValueError(f"time step must be positive and finite, got {dt}")
 
 
-def _effective_t0(t0: float, first_time: float) -> float:
-    # burn-in default: never later than a tenth of the first observation time
-    return min(t0, first_time / 10.0)
-
-
-def hybrid_grid(t0: float, t_end: float, dt: float, ratio: float = 1.25) -> np.ndarray:
-    """Geometric refinement near ``t0`` easing into uniform steps of ``dt``."""
-    if not (0 <= t0 < t_end):
-        raise ValueError("need 0 <= t0 < t_end")
+def hybrid_grid(start: float, t_end: float, dt: float, ratio: float = 1.25) -> np.ndarray:
+    """Times from ``start`` growing geometrically by ``ratio``, easing into uniform steps of ``dt``."""
+    if not (0 < start < t_end):
+        raise ValueError("need 0 < start < t_end")
     _check_step(dt)
-    times = [t0]
-    current = t0
-    while current < t_end:
-        step = min(dt, max(current * (ratio - 1.0), 1e-9 + t0 * (ratio - 1.0)))
-        current = min(current + step, t_end)
-        times.append(current)
+    times = [start]
+    while times[-1] < t_end:
+        times.append(min(times[-1] + min(dt, times[-1] * (ratio - 1.0)), t_end))
     return np.asarray(times)
+
+
+def _lattice_grid(spacing: float, first_read: float, t_end: float, dt: float) -> np.ndarray:
+    """Steps from a lattice start at time 0: first min(spacing^2, first_read / 10), then :func:`hybrid_grid`."""
+    return np.concatenate(([0.0], hybrid_grid(min(spacing**2, first_read / 10.0), t_end, dt)))
 
 
 def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
@@ -156,20 +158,12 @@ def _report(label, lhs, rhs, one_sided=False, approx=False) -> ComparisonReport:
     rhs_mean = rhs.mean if isinstance(rhs, MCEstimate) else float(rhs)
     spread = math.sqrt(lhs.stderr**2 + (rhs.stderr**2 if isinstance(rhs, MCEstimate) else 0.0))
     diff = lhs.mean - rhs_mean
-    z = 0.0 if diff == 0 else (math.inf if spread == 0 else diff / spread)
+    z = 0.0 if diff == 0 else (math.copysign(math.inf, diff) if spread == 0 else diff / spread)
     if one_sided:
         verdict = "one_sided_ok" if diff >= -3.0 * spread else "inconsistent"
     else:
         verdict = "consistent" if abs(z) <= 3.0 else "inconsistent"
     return ComparisonReport(label=label, lhs=lhs, rhs=rhs, z_score=z, verdict=verdict, approx=approx)
-
-
-def _copies(starts, count: int, boundary: FlowBoundary | None = None, members: bool = False) -> ReplicaFlow:
-    """``count`` replicas of the path system started from ``starts``."""
-    starts = np.asarray(starts, dtype=float)
-    return ReplicaFlow(
-        np.tile(starts, count), np.repeat(np.arange(count), len(starts)), count, boundary=boundary, members=members
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +188,7 @@ class LaplaceDualityConfig:
     pairs: tuple[tuple[float, float], ...]
     coefficients: tuple[float, ...]
     n: int
-    t0: float = 0.01
+    spacing: float = 0.05
     dt: float = 0.01
     rhs_gamma_scale: float = 1.0
 
@@ -202,9 +196,8 @@ class LaplaceDualityConfig:
 def _laplace_lhs_batch(cfg, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None) -> np.ndarray:
     """exp(-<X_t, h0>) per replica; ``cfg`` is a Laplace or reflected Laplace config."""
     h0 = StepFunction(pairs=cfg.pairs, coefficients=cfg.coefficients)
-    t0 = _effective_t0(cfg.t0, cfg.t)
-    system = init_ensemble(cfg.mu, t0, cfg.params, rng, count, boundary=boundary)
-    for dt in np.diff(hybrid_grid(t0, cfg.t, cfg.dt)):
+    system = init_ensemble(cfg.mu, cfg.spacing, count, cfg.params, boundary=boundary)
+    for dt in np.diff(_lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)):
         system.step(float(dt), rng)
     system.observe(rng)
     return np.exp(-np.bincount(system.replica, weights=system.mass * h0(system.pos), minlength=count))
@@ -214,8 +207,9 @@ def _laplace_rhs_batch(
     cfg, params: BranchingParams, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None
 ) -> np.ndarray:
     """exp(-<mu, u_t(h_t)>) per replica, h_t the step function on the evolved level paths."""
-    starts = [v for pair in cfg.pairs for v in pair]  # pair order; the flow sorts and maps members
-    paths = _copies(starts, count, boundary=boundary, members=True)
+    starts = np.array([v for pair in cfg.pairs for v in pair], dtype=float)  # pair order; the flow maps members
+    replica = np.repeat(np.arange(count), len(starts))
+    paths = ReplicaFlow(np.tile(starts, count), replica, count, boundary=boundary, members=True)
     for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
         paths.step(float(dt), rng)
     finals = paths.pos[paths.member].reshape(count, len(starts))
@@ -269,13 +263,8 @@ class AbsorbingExtinctionConfig:
         )
 
 
-def _absorbed_atoms(measure: MeasureSpec, spacing: float, barriers: tuple[float, float], count: int) -> ReplicaFlow:
-    """Replicas of the atomized measure under absorption (masses stay positive without branching)."""
-    return _copies(atomize_measure(measure, spacing), count, boundary=FlowBoundary("absorbing", barriers))
-
-
 def _absorbing_lhs(cfg: AbsorbingExtinctionConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    flow = _absorbed_atoms(cfg.measure(), cfg.spacing, cfg.barriers, count)
+    flow = init_ensemble(cfg.measure(), cfg.spacing, count, boundary=FlowBoundary("absorbing", cfg.barriers))
     for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
         flow.step(float(dt), rng)
     return (~flow.charged(*cfg.barriers)).astype(float)
@@ -319,7 +308,9 @@ class OccupationDualityConfig:
     absorbed system (ever occupying equals being absorbed by t, which the
     bridge-corrected hits capture without grid bias).  With branching the
     relation is an inequality and the left side is the plain process with the
-    grid occupation indicator.
+    grid occupation indicator.  Without branching only the two edge points of
+    the measure can reach the window, so that law does not depend on
+    ``spacing``.
     """
 
     params: BranchingParams
@@ -328,8 +319,7 @@ class OccupationDualityConfig:
     t: float
     n: int
     margin: float = 6.0
-    spacing: float = 0.5
-    t0: float = 0.01
+    spacing: float = 0.05
     dt: float = 0.01
 
     def measure(self) -> MeasureSpec:
@@ -350,14 +340,13 @@ def _never_charged(flow: ReplicaFlow, grid: np.ndarray, window: tuple[float, flo
 
 
 def _occupation_lhs_no_branching(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    flow = _absorbed_atoms(cfg.measure(), cfg.spacing, cfg.window, count)
+    flow = init_ensemble(cfg.measure(), cfg.spacing, count, boundary=FlowBoundary("absorbing", cfg.window))
     return _never_charged(flow, _uniform_grid(cfg.t, cfg.dt), cfg.window, rng)
 
 
 def _occupation_lhs_branch_batch(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    t0 = _effective_t0(cfg.t0, cfg.t)
-    system = init_ensemble(cfg.measure(), t0, cfg.params, rng, count)
-    return _never_charged(system, hybrid_grid(t0, cfg.t, cfg.dt), cfg.window, rng)
+    system = init_ensemble(cfg.measure(), cfg.spacing, count, cfg.params)
+    return _never_charged(system, _lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt), cfg.window, rng)
 
 
 def occupation_duality_check(cfg: OccupationDualityConfig, seed: int, threads: int = 1) -> ComparisonReport:
@@ -390,14 +379,13 @@ class VacancyBoundConfig:
     s2: float
     mu: MeasureSpec
     n: int
-    t0: float = 0.01
+    spacing: float = 0.05
     dt: float = 0.01
 
 
 def _vacancy_lhs_batch(cfg: VacancyBoundConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    t0 = _effective_t0(cfg.t0, cfg.s1)
-    system = init_ensemble(cfg.mu, t0, cfg.params, rng, count)
-    grid = hybrid_grid(t0, cfg.s2, cfg.dt)
+    system = init_ensemble(cfg.mu, cfg.spacing, count, cfg.params)
+    grid = _lattice_grid(cfg.spacing, cfg.s1, cfg.s2, cfg.dt)
     charged = np.zeros(count, dtype=bool)
     for k, dt in enumerate(np.diff(grid)):
         system.step(float(dt), rng)
@@ -449,7 +437,7 @@ class ReflectedLaplaceConfig:
     pairs: tuple[tuple[float, float], ...]
     coefficients: tuple[float, ...]
     n: int
-    t0: float = 0.01
+    spacing: float = 0.05
     dt: float = 5e-3
 
 

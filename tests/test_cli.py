@@ -148,7 +148,7 @@ seed = 13
 [survival]
 beta = 0.5
 truncation = 1
-t0 = 0.05
+spacing = 0.05
 horizons = 0.5,1
 replicas = 8
 batch = 4
@@ -200,7 +200,14 @@ class TestCliErrors:
             ("survival", "dt = -0.1", "dt"),
             ("survival", "batch = 0", "batch"),
             ("survival", "replicas = 1", "replicas"),
-            ("survival", "t0 = 0", "t0"),
+            ("survival", "spacing = 0", "spacing"),
+            ("survival", "spacing = inf", "spacing"),
+            ("survival", "expect_domination = true", "expect_domination"),
+            ("survival", "expect_decreasing = true\nhorizons = 4", "expect_decreasing"),
+            ("survival", "[run]\nseed = -1", "seed"),
+            ("verify-duality", "[run]\nseed = -1", "seed"),
+            ("survival", "[run]\nthreads = 0", "threads"),
+            ("survival", "[run]\nthreads = -1", "threads"),
             ("survival", "gamma = 0", "gamma"),
             ("scbm-duality", "laplace_n = 1", "laplace_n"),
             ("scbm-duality", "smoke_n = 0", "smoke_n"),
@@ -304,6 +311,16 @@ class TestCliErrors:
         assert key in err
         if command != "scbm-duality":
             assert f"for '{key}'" in err
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize(
+        "flags, key", [(["--seed", "-1"], "seed"), (["--threads", "0"], "threads"), (["--threads", "-1"], "threads")]
+    )
+    def test_bad_run_flag_exits_2_naming_key(self, tmp_path, capsys, flags, key):
+        for command in ("survival", "verify-duality"):
+            assert main([command, "--out", str(tmp_path / "o")] + flags) == 2
+            assert f"for '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scbm.branching import BranchingParams
+from scbm.branching import BranchingParams, cumulant_limit
 from scbm.experiments import (
     CappedExponentialGrowth,
     ConstantGrowth,
@@ -231,6 +231,21 @@ class TestSurvival:
     def test_bad_horizons(self):
         with pytest.raises(ValueError):
             SurvivalConfig(params=P21, g=ConstantGrowth(1.0), truncation=1.0, horizons=(2.0, 1.0), replicas=10)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_alive_at_end_matches_exact_extinction(self, beta):
+        # the lattice carries mass 2L exactly, and a replica's total mass is one
+        # transition from 2L: alive at T with probability 1 - exp(-2L u_T(inf))
+        params = BranchingParams(gamma=2.0, beta=beta)
+        cfg = SurvivalConfig(params=params, g=ConstantGrowth(1.0), truncation=4.0, horizons=(1.0, 4.0), replicas=2000)
+        res = survival_experiment(cfg, seed=17)
+        p = 1.0 - math.exp(-8.0 * cumulant_limit(params, 4.0))
+        se = math.sqrt(p * (1.0 - p) / cfg.replicas)
+        assert abs(res.alive_at_end / cfg.replicas - p) <= 3 * se, f"z={(res.alive_at_end / cfg.replicas - p) / se:+.2f}"
+
+    def test_bad_spacing(self):
+        with pytest.raises(ValueError, match="spacing"):
+            SurvivalConfig(params=P21, g=ConstantGrowth(1.0), truncation=1.0, horizons=(1.0,), replicas=10, spacing=0.0)
 
 
 class TestSeriesIntegralConsistency:

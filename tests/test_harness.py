@@ -84,6 +84,13 @@ class TestReports:
         assert fwd.z_score == pytest.approx(-rev.z_score)
         assert fwd.verdict == rev.verdict
 
+    def test_zero_spread_z_keeps_the_sign(self):
+        below = _report("x", MCEstimate(mean=0.0, stderr=0.0, n=2, seed=0), 0.5)
+        above = _report("x", MCEstimate(mean=1.0, stderr=0.0, n=2, seed=0), 0.5)
+        assert below.z_score == -math.inf and above.z_score == math.inf
+        assert below.verdict == above.verdict == "inconsistent"
+        assert _report("x", MCEstimate(mean=0.5, stderr=0.0, n=2, seed=0), 0.5).z_score == 0.0
+
     def test_one_sided_verdict_at_three_spreads_below(self):
         # a one-sided bound fails only when lhs sits more than 3 pooled SE below rhs
         rhs = MCEstimate(mean=0.5, stderr=0.03, n=100, seed=0)
