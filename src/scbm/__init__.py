@@ -5,9 +5,9 @@ Subpackage map:
 * :mod:`scbm.branching` - critical stable branching semigroup and samplers
 * :mod:`scbm.lattice` - coalescing random walks with boundary variants
 * :mod:`scbm.oracle` - exact finite-state duality verification
-* :mod:`scbm.flow` - replicas of coalescing Brownian paths with barriers, step functionals
+* :mod:`scbm.flow` - replicas of coalescing Brownian paths with barriers
 * :mod:`scbm.engine` - the measure-valued process built from excursions
-* :mod:`scbm.harness` - Monte Carlo identity checks
+* :mod:`scbm.harness` - Monte Carlo identity checks and their step-function integrals
 * :mod:`scbm.experiments` - integral test machinery and survival ensembles
 * :mod:`scbm.cli` - experiment command line
 """
@@ -21,7 +21,7 @@ from .branching import (
     sample_transition,
 )
 from .engine import MeasureSpec, init_ensemble
-from .flow import FlowBoundary, ReplicaFlow, StepFunction
+from .flow import FlowBoundary, ReplicaFlow
 from .harness import ComparisonReport, MCEstimate
 from .lattice import BoundarySpec, IntervalPartition, LatticeState, coalesce_state, simulate_walk
 
@@ -38,7 +38,6 @@ __all__ = [
     "init_ensemble",
     "FlowBoundary",
     "ReplicaFlow",
-    "StepFunction",
     "MCEstimate",
     "ComparisonReport",
     "BoundarySpec",

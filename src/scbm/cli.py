@@ -597,29 +597,24 @@ def _run_survival(settings, seed, threads):
         raise ConfigError(str(exc)) from exc
 
     h = settings["horizons"]
-    _require("survival", "gamma", params.gamma > 0, "gamma > 0: survival ensembles read branching masses")
-    _require("survival", "truncation", 0 <= settings["truncation"] < math.inf, "a finite truncation >= 0")
-    ok = bool(h) and 0 < h[0] and h[-1] < math.inf and all(a < b for a, b in zip(h, h[1:]))
-    _require("survival", "horizons", ok, "strictly increasing positive finite horizons")
-    _require("survival", "replicas", settings["replicas"] >= 2, "at least two replicas")
-    _require("survival", "batch", settings["batch"] >= 1, "batch >= 1")
-    _require("survival", "dt", 0 < settings["dt"] < math.inf, "a positive finite time")
-    _require("survival", "spacing", 0 < settings["spacing"] < math.inf, "a positive finite lattice spacing")
     _require("survival", "expect_decreasing", not settings["expect_decreasing"] or len(h) >= 2, "at least two horizons")
     _require("survival", "expect_domination", not settings["expect_domination"] or g_alt is not None, "a g_alt to compare")
-    cfgs = [
-        SurvivalConfig(
-            params=params,
-            g=g,
-            truncation=settings["truncation"],
-            horizons=tuple(h),
-            replicas=settings["replicas"],
-            spacing=settings["spacing"],
-            dt=settings["dt"],
-            batch=settings["batch"],
-        )
-        for g in [g_main] + ([g_alt] if g_alt is not None else [])
-    ]
+    try:  # SurvivalConfig checks every other key, naming it
+        cfgs = [
+            SurvivalConfig(
+                params=params,
+                g=g,
+                truncation=settings["truncation"],
+                horizons=tuple(h),
+                replicas=settings["replicas"],
+                spacing=settings["spacing"],
+                dt=settings["dt"],
+                batch=settings["batch"],
+            )
+            for g in [g_main] + ([g_alt] if g_alt is not None else [])
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"section [survival]: {exc}") from exc
 
     results = []
     for cfg in cfgs:

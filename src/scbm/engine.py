@@ -57,13 +57,16 @@ class MeasureSpec:
     def lebesgue_mass(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
 
-    def mass_in(self, u: float, v: float) -> float:
-        """Measure of the closed interval [u, v]."""
-        if v < u:
+    def mass_in(self, u, v):
+        """Measure of the closed interval [u, v]; elementwise over arrays."""
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if np.any(v < u):
             raise ValueError("interval must be ordered")
-        total = sum(max(0.0, min(hi, v) - max(lo, u)) for lo, hi in self.intervals)
-        total += sum(m for loc, m in self.atoms if u <= loc <= v)
-        return total
+        total = np.zeros(np.broadcast(u, v).shape)
+        for lo, hi in self.intervals:
+            total = total + np.maximum(0.0, np.minimum(hi, v) - np.maximum(lo, u))
+        total = total + sum(m * ((u <= loc) & (loc <= v)) for loc, m in self.atoms)
+        return float(total) if total.ndim == 0 else total
 
 
 def init_ensemble(
@@ -82,8 +85,8 @@ def init_ensemble(
     by :meth:`~scbm.flow.ReplicaFlow.observe`.  Without ``params`` (no
     branching) the flow has no masses.
     """
-    if not 0 < spacing < math.inf:
-        raise ValueError("spacing must be positive and finite")
+    if not (0 < spacing and 0 < spacing * spacing < math.inf):  # the first step lasts spacing**2 (harness._lattice_grid)
+        raise ValueError("spacing must be positive with a positive finite square")
     parts = [np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / spacing)) + 1)) for lo, hi in mu.intervals]
     points = np.concatenate(parts + [np.array([loc for loc, _ in mu.atoms], dtype=float)])
     masses = None

@@ -455,6 +455,16 @@ def escape_probability_bounds(g: GrowthFunction, triple: SequenceTriple, eps: fl
 # ---------------------------------------------------------------------------
 
 
+# Lattice points one survival batch may start with (defaults: 64,032).  A step keeps several float arrays per
+# point, 32 MiB each at 2**22 points: a tiny spacing or a huge truncation is refused before anything is allocated.
+SURVIVAL_POINTS = 2**22
+
+
+def _need(ok: bool, key: str, need: str) -> None:
+    if not ok:
+        raise ValueError(f"bad value for {key!r}: need {need}")
+
+
 @dataclass(frozen=True)
 class SurvivalConfig:
     """Ensemble of processes from Lebesgue mass on [-L, L], read through moving windows."""
@@ -469,22 +479,19 @@ class SurvivalConfig:
     batch: int = 32
 
     def __post_init__(self) -> None:
-        if self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        if not self.horizons or any(a >= b for a, b in zip(self.horizons, self.horizons[1:])):
-            raise ValueError("horizons must be strictly increasing and nonempty")
-        if any(h <= 0 for h in self.horizons):
-            raise ValueError("horizons must be positive")
-        if self.replicas < 2:
-            raise ValueError("replicas must be >= 2")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if not (0 < self.dt < math.inf):
-            raise ValueError("dt must be positive and finite")
-        if not (0 < self.spacing < math.inf):
-            raise ValueError("spacing must be positive and finite")
-        if self.params.gamma <= 0:
-            raise ValueError("gamma must be > 0: survival ensembles read branching masses")
+        h, spacing = self.horizons, self.spacing
+        _need(self.params.gamma > 0, "gamma", "gamma > 0: survival ensembles read branching masses")
+        _need(0 <= self.truncation < math.inf, "truncation", "a finite truncation >= 0")
+        ok = bool(h) and 0 < h[0] and h[-1] < math.inf and all(a < b for a, b in zip(h, h[1:]))
+        _need(ok, "horizons", "strictly increasing positive finite horizons")
+        _need(self.replicas >= 2, "replicas", "at least two replicas")
+        _need(self.batch >= 1, "batch", "batch >= 1")
+        _need(0 < self.dt < math.inf, "dt", "a positive finite time")
+        # the rule of engine.init_ensemble, checked here before anything is allocated
+        _need(0 < spacing and 0 < spacing * spacing < math.inf, "spacing", "a positive spacing with a positive finite square")
+        points = (2 * self.truncation / spacing + 1) * min(self.batch, self.replicas)
+        need = f"(2 * truncation / spacing + 1) * min(batch, replicas) <= {SURVIVAL_POINTS} lattice points per batch"
+        _need(points <= SURVIVAL_POINTS, "spacing", need)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import BranchingParams, cumulant, sample_transition
+from .branching import BranchingParams, sample_transition
 
 __all__ = [
     "FlowBoundary",
     "ReplicaFlow",
-    "StepFunction",
     "step_positions",
-    "step_integral_lebesgue",
 ]
 
 
@@ -270,62 +268,3 @@ class ReplicaFlow:
             raise RuntimeError("masses are pending: call observe() before charged()")
         inside = (self.pos >= lo) & (self.pos <= hi)
         return np.bincount(self.replica[inside], minlength=self.count) > 0
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Nonnegative step function: sum of coefficients over half-open intervals.
-
-    Evaluation uses left-open right-closed intervals ]lo, hi]; a collapsed
-    pair (lo == hi) is an empty interval and contributes nothing.  Overlapping
-    intervals stack additively.
-    """
-
-    pairs: tuple[tuple[float, float], ...]
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pairs) != len(self.coefficients):
-            raise ValueError("one coefficient per interval pair")
-        if any(hi < lo for lo, hi in self.pairs):
-            raise ValueError("interval pairs must be ordered (lo <= hi)")
-        if any(c < 0 for c in self.coefficients):
-            raise ValueError("coefficients must be >= 0")
-
-    def __call__(self, x):
-        xarr = np.asarray(x, dtype=float)
-        total = np.zeros_like(xarr)
-        for (lo, hi), c in zip(self.pairs, self.coefficients):
-            total = total + c * ((xarr > lo) & (xarr <= hi))
-        return float(total) if np.isscalar(x) else total
-
-    def breakpoints(self) -> np.ndarray:
-        return np.unique(np.asarray(self.pairs, dtype=float).ravel()) if self.pairs else np.array([])
-
-
-def step_integral_lebesgue(
-    params: BranchingParams,
-    t: float,
-    sf: StepFunction,
-    domain,
-) -> float:
-    """Exact value of the integral of cumulant(t, sf(x)) dx over the domain.
-
-    ``domain`` is a sequence of disjoint (lo, hi) intervals.  The integrand is
-    piecewise constant between the step-function breakpoints, so each piece
-    contributes cumulant(level) times its length.
-    """
-    cuts = sf.breakpoints()
-    total = 0.0
-    for lo, hi in domain:
-        if hi <= lo:
-            continue
-        inner = cuts[(cuts > lo) & (cuts < hi)]
-        edges = np.concatenate(([lo], inner, [hi]))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        levels = sf(mids)
-        lengths = np.diff(edges)
-        for level, length in zip(levels, lengths):
-            if level > 0:
-                total += cumulant(params, t, float(level)) * float(length)
-    return total

@@ -33,7 +33,7 @@ from scipy.stats import norm
 
 from .branching import BranchingParams, cumulant, cumulant_limit
 from .engine import MeasureSpec, init_ensemble
-from .flow import FlowBoundary, ReplicaFlow, StepFunction, step_integral_lebesgue
+from .flow import FlowBoundary, ReplicaFlow
 
 __all__ = [
     "MCEstimate",
@@ -171,6 +171,51 @@ def _report(label, lhs, rhs, one_sided=False, approx=False) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_step_function(pairs, coefficients) -> None:
+    if len(pairs) != len(coefficients):
+        raise ValueError("one coefficient per interval pair")
+    if any(hi < lo for lo, hi in pairs):
+        raise ValueError("interval pairs must be ordered (lo <= hi)")
+    if any(c < 0 for c in coefficients):
+        raise ValueError("coefficients must be >= 0")
+
+
+def _levels(points, pairs, coefficients) -> np.ndarray:
+    """h = sum_j c_j 1{lo_j < x <= hi_j} at ``points``; ``pairs`` has shape (K, 2), or (rows, K, 2) per row."""
+    pairs = np.asarray(pairs, dtype=float)
+    total = np.zeros(np.shape(points))
+    for j, c in enumerate(coefficients):
+        total = total + c * ((points > pairs[..., j, 0, None]) & (points <= pairs[..., j, 1, None]))
+    return total
+
+
+def _level_integrals(params: BranchingParams, t: float, pairs: np.ndarray, coefficients, mu: MeasureSpec) -> np.ndarray:
+    """<mu, u_t(h)> per row of ``pairs`` (shape (rows, K, 2)), h the step function of that row.
+
+    On each interval [a, b] of mu, the pieces between a, the row's level points clipped to [a, b], and b
+    add cumulant(level) times their length; zero-length pieces add exactly 0.
+    """
+    rows = len(pairs)
+    cuts = np.sort(pairs.reshape(rows, -1), axis=1)
+    total = np.zeros(rows)
+    for a, b in mu.intervals:
+        edges = np.column_stack((np.full(rows, a), np.clip(cuts, a, b), np.full(rows, b)))
+        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        total += np.sum(cumulant(params, t, _levels(mids, pairs, coefficients)) * np.diff(edges, axis=1), axis=1)
+    for loc, m in mu.atoms:
+        total += m * cumulant(params, t, _levels(np.full((rows, 1), loc), pairs, coefficients))[:, 0]
+    return total
+
+
+def _level_paths(starts, count: int, t: float, dt: float, rng, boundary: FlowBoundary | None = None) -> np.ndarray:
+    """The (count, k) finals at ``t`` of coalescing paths from ``starts``, shape (k,) or (count, k)."""
+    starts = np.broadcast_to(starts, (count, np.shape(starts)[-1]))
+    paths = ReplicaFlow(starts.ravel(), np.repeat(np.arange(count), starts.shape[1]), count, boundary=boundary, members=True)
+    for step in np.diff(_uniform_grid(t, dt)):
+        paths.step(float(step), rng)
+    return paths.pos[paths.member].reshape(starts.shape)
+
+
 @dataclass(frozen=True)
 class LaplaceDualityConfig:
     """Two independent pathways for the same Laplace functional.
@@ -192,37 +237,26 @@ class LaplaceDualityConfig:
     dt: float = 0.01
     rhs_gamma_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        _check_step_function(self.pairs, self.coefficients)
+
 
 def _laplace_lhs_batch(cfg, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None) -> np.ndarray:
     """exp(-<X_t, h0>) per replica; ``cfg`` is a Laplace or reflected Laplace config."""
-    h0 = StepFunction(pairs=cfg.pairs, coefficients=cfg.coefficients)
     system = init_ensemble(cfg.mu, cfg.spacing, count, cfg.params, boundary=boundary)
     for dt in np.diff(_lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)):
         system.step(float(dt), rng)
     system.observe(rng)
-    return np.exp(-np.bincount(system.replica, weights=system.mass * h0(system.pos), minlength=count))
+    h0 = _levels(system.pos, cfg.pairs, cfg.coefficients)
+    return np.exp(-np.bincount(system.replica, weights=system.mass * h0, minlength=count))
 
 
 def _laplace_rhs_batch(
     cfg, params: BranchingParams, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None
 ) -> np.ndarray:
     """exp(-<mu, u_t(h_t)>) per replica, h_t the step function on the evolved level paths."""
-    starts = np.array([v for pair in cfg.pairs for v in pair], dtype=float)  # pair order; the flow maps members
-    replica = np.repeat(np.arange(count), len(starts))
-    paths = ReplicaFlow(np.tile(starts, count), replica, count, boundary=boundary, members=True)
-    for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
-        paths.step(float(dt), rng)
-    finals = paths.pos[paths.member].reshape(count, len(starts))
-    out = np.empty(count)
-    for r in range(count):
-        row = finals[r]
-        pairs_t = tuple((float(row[2 * j]), float(row[2 * j + 1])) for j in range(len(cfg.pairs)))
-        sf_t = StepFunction(pairs=pairs_t, coefficients=cfg.coefficients)
-        total = step_integral_lebesgue(params, cfg.t, sf_t, cfg.mu.intervals)
-        for loc, m in cfg.mu.atoms:
-            total += m * cumulant(params, cfg.t, sf_t(loc))
-        out[r] = math.exp(-total)
-    return out
+    finals = _level_paths(np.ravel(cfg.pairs), count, cfg.t, cfg.dt, rng, boundary)  # lo_1, hi_1, lo_2, ...
+    return np.exp(-_level_integrals(params, cfg.t, finals.reshape(count, -1, 2), cfg.coefficients, cfg.mu))
 
 
 def laplace_duality_check(cfg: LaplaceDualityConfig, seed: int, threads: int = 1) -> ComparisonReport:
@@ -400,12 +434,8 @@ def _vacancy_rhs_batch(cfg: VacancyBoundConfig, rng: np.random.Generator, count:
     x = np.abs(rng.normal(0.0, math.sqrt(gap_t), count))
     y = np.abs(rng.normal(0.0, math.sqrt(gap_t), count))
     theta = cumulant_limit(cfg.params, cfg.s1)
-    starts = np.column_stack((-x - cfg.a, cfg.a + y)).ravel()
-    pairs = ReplicaFlow(starts, np.repeat(np.arange(count), 2), count, members=True)
-    for dt in np.diff(_uniform_grid(cfg.s1, cfg.dt)):
-        pairs.step(float(dt), rng)
-    finals = pairs.pos[pairs.member].reshape(count, 2)
-    return np.array([math.exp(-theta * cfg.mu.mass_in(float(lo), float(hi))) for lo, hi in finals])
+    finals = _level_paths(np.column_stack((-x - cfg.a, cfg.a + y)), count, cfg.s1, cfg.dt, rng)
+    return np.exp(-theta * cfg.mu.mass_in(finals[:, 0], finals[:, 1]))
 
 
 def interval_vacancy_bound_check(cfg: VacancyBoundConfig, seed: int, threads: int = 1) -> ComparisonReport:
@@ -440,18 +470,15 @@ class ReflectedLaplaceConfig:
     spacing: float = 0.05
     dt: float = 5e-3
 
-
-def _reflected_lhs(cfg: ReflectedLaplaceConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    return _laplace_lhs_batch(cfg, rng, count, boundary=FlowBoundary("absorbing", cfg.barriers))
-
-
-def _reflected_rhs(cfg: ReflectedLaplaceConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    return _laplace_rhs_batch(cfg, cfg.params, rng, count, boundary=FlowBoundary("reflecting", cfg.barriers))
+    def __post_init__(self) -> None:
+        _check_step_function(self.pairs, self.coefficients)
 
 
 def reflected_laplace_smoke(cfg: ReflectedLaplaceConfig, seed: int, threads: int = 1) -> ComparisonReport:
     if any(v in cfg.barriers for pair in cfg.pairs for v in pair):
         raise ValueError("level points must avoid the barriers")
-    lhs = _mc_batched(partial(_reflected_lhs, cfg), cfg.n, seed, stream=0, threads=threads)
-    rhs = _mc_batched(partial(_reflected_rhs, cfg), cfg.n, seed, stream=1, threads=threads)
+    lhs_fn = partial(_laplace_lhs_batch, cfg, boundary=FlowBoundary("absorbing", cfg.barriers))
+    rhs_fn = partial(_laplace_rhs_batch, cfg, cfg.params, boundary=FlowBoundary("reflecting", cfg.barriers))
+    lhs = _mc_batched(lhs_fn, cfg.n, seed, stream=0, threads=threads)
+    rhs = _mc_batched(rhs_fn, cfg.n, seed, stream=1, threads=threads)
     return _report("reflected_laplace_smoke", lhs, rhs, approx=True)

@@ -202,6 +202,12 @@ class TestCliErrors:
             ("survival", "replicas = 1", "replicas"),
             ("survival", "spacing = 0", "spacing"),
             ("survival", "spacing = inf", "spacing"),
+            ("survival", "spacing = -0.05", "spacing"),
+            # spacing squared underflows to 0 or overflows; the lattice would need 1e11 or 4e13 points
+            ("survival", "spacing = 1e-300", "spacing"),
+            ("survival", "spacing = 1e200", "spacing"),
+            ("survival", "spacing = 1e-9", "spacing"),
+            ("survival", "truncation = 1e12", "spacing"),
             ("survival", "expect_domination = true", "expect_domination"),
             ("survival", "expect_decreasing = true\nhorizons = 4", "expect_decreasing"),
             ("survival", "[run]\nseed = -1", "seed"),

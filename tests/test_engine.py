@@ -21,6 +21,19 @@ class TestMeasureSpec:
         assert mu.mass_in(0.0, 2.5) == pytest.approx(1.5)
         assert mu.mass_in(4.0, 6.0) == pytest.approx(0.5)
 
+    def test_mass_in_elementwise(self):
+        mu = MeasureSpec(intervals=((-1.0, 1.0), (2.0, 3.0)), atoms=((5.0, 0.5), (2.5, 0.25)))
+        u = np.array([-2.0, 0.0, 5.0, 1.0, 2.5, 6.0])
+        v = np.array([6.0, 2.5, 5.0, 2.0, 2.5, 7.0])
+        got = mu.mass_in(u, v)
+        assert got.tolist() == [mu.mass_in(float(a), float(b)) for a, b in zip(u, v)]
+        # atoms sit in the closed interval: on either endpoint, or on both
+        assert got[2] == 0.5 and got[4] == 0.25
+        assert mu.mass_in(0.0, 5.0) == pytest.approx(2.75)
+        assert MeasureSpec().mass_in(u, v).tolist() == [0.0] * 6
+        with pytest.raises(ValueError):
+            mu.mass_in(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+
     def test_overlapping_intervals_rejected(self):
         with pytest.raises(ValueError):
             MeasureSpec(intervals=((0.0, 2.0), (1.0, 3.0)))
@@ -56,7 +69,8 @@ class TestInitAtoms:
         same = flow.replica[1:] == flow.replica[:-1]
         assert np.all(np.diff(flow.pos)[same] > 0)
 
-    @pytest.mark.parametrize("spacing", [0.0, -0.1, math.inf, math.nan])
+    # 1e-300 and 1e200: the first lattice step, spacing**2, underflows to 0 or overflows
+    @pytest.mark.parametrize("spacing", [0.0, -0.1, math.inf, math.nan, 1e-300, 1e200])
     def test_bad_spacing(self, spacing):
         with pytest.raises(ValueError, match="spacing"):
             init_ensemble(MeasureSpec(intervals=((0.0, 1.0),)), spacing, 4, P21)

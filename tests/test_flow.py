@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from scbm.branching import BranchingParams, cumulant, cumulant_limit
-from scbm.flow import (
-    FlowBoundary,
-    ReplicaFlow,
-    StepFunction,
-    step_integral_lebesgue,
-    step_positions,
-)
+from scbm.engine import MeasureSpec
+from scbm.flow import FlowBoundary, ReplicaFlow, step_positions
+from scbm.harness import LaplaceDualityConfig, ReflectedLaplaceConfig, _level_integrals, _levels
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
 
@@ -234,45 +230,67 @@ class TestObservedMasses:
 
 
 class TestStepFunction:
+    """The step function h = sum_j c_j 1{lo_j < x <= hi_j} that the level paths carry, as the harness evaluates it."""
+
     def test_half_open_convention(self):
-        sf = StepFunction(pairs=((0.0, 1.0),), coefficients=(2.0,))
-        assert sf(0.0) == 0.0
-        assert sf(0.5) == 2.0
-        assert sf(1.0) == 2.0
-        assert sf(1.5) == 0.0
+        h = _levels(np.array([0.0, 0.5, 1.0, 1.5]), ((0.0, 1.0),), (2.0,))
+        assert h.tolist() == [0.0, 2.0, 2.0, 0.0]
 
     def test_collapsed_pair_is_empty(self):
-        sf = StepFunction(pairs=((1.0, 1.0),), coefficients=(3.0,))
-        assert sf(1.0) == 0.0
+        assert _levels(np.array([1.0]), ((1.0, 1.0),), (3.0,)).tolist() == [0.0]
 
     def test_overlap_stacks(self):
-        sf = StepFunction(pairs=((0.0, 2.0), (1.0, 3.0)), coefficients=(1.0, 2.0))
-        assert sf(1.5) == 3.0
+        assert _levels(np.array([1.5]), ((0.0, 2.0), (1.0, 3.0)), (1.0, 2.0)).tolist() == [3.0]
 
     def test_negative_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            StepFunction(pairs=((0.0, 1.0),), coefficients=(-1.0,))
+        # the checks run when a config that carries a step function is built
+        mu = MeasureSpec(intervals=((-2.0, 2.0),))
+        bad = (
+            (((0.0, 1.0),), (-1.0,)),  # negative coefficient
+            (((1.0, 0.0),), (1.0,)),  # unordered pair
+            (((0.0, 1.0), (0.5, 1.5)), (1.0,)),  # one coefficient for two pairs
+        )
+        for pairs, coefficients in bad:
+            with pytest.raises(ValueError):
+                LaplaceDualityConfig(params=P21, t=1.0, mu=mu, pairs=pairs, coefficients=coefficients, n=10)
+            with pytest.raises(ValueError):
+                ReflectedLaplaceConfig(
+                    params=P21, barriers=(-3.0, 3.0), t=1.0, mu=mu, pairs=pairs, coefficients=coefficients, n=10
+                )
+
+    def test_rows_carry_their_own_pairs(self):
+        # one step function per row of points, as for a batch of evolved level paths
+        pairs = np.array([[[0.0, 1.0]], [[2.0, 3.0]]])
+        h = _levels(np.array([[0.5, 2.5], [0.5, 2.5]]), pairs, (4.0,))
+        assert h.tolist() == [[4.0, 0.0], [0.0, 4.0]]
+
+
+def _integral(pairs, coefficients, intervals, atoms=()):
+    """<mu, u_1(h)> under P21 for one step function, through the batched right side."""
+    mu = MeasureSpec(intervals=tuple(intervals), atoms=tuple(atoms))
+    return float(_level_integrals(P21, 1.0, np.array([pairs], dtype=float).reshape(1, -1, 2), coefficients, mu)[0])
 
 
 class TestStepIntegral:
     def test_zero_coefficients(self):
-        sf = StepFunction(pairs=((0.0, 1.0),), coefficients=(0.0,))
-        assert step_integral_lebesgue(P21, 1.0, sf, [(-5.0, 5.0)]) == 0.0
+        assert _integral(((0.0, 1.0),), (0.0,), [(-5.0, 5.0)]) == 0.0
 
     def test_single_pair_hand_value(self):
         # one interval of length 2 inside the domain at level 1
-        sf = StepFunction(pairs=((-1.0, 1.0),), coefficients=(1.0,))
         expected = cumulant(P21, 1.0, 1.0) * 2.0
-        assert step_integral_lebesgue(P21, 1.0, sf, [(-5.0, 5.0)]) == pytest.approx(expected, abs=1e-12)
+        assert _integral(((-1.0, 1.0),), (1.0,), [(-5.0, 5.0)]) == pytest.approx(expected, abs=1e-12)
 
     def test_merged_pair_contributes_nothing(self):
-        sf = StepFunction(pairs=((0.5, 0.5),), coefficients=(4.0,))
-        assert step_integral_lebesgue(P21, 1.0, sf, [(-5.0, 5.0)]) == 0.0
+        assert _integral(((0.5, 0.5),), (4.0,), [(-5.0, 5.0)], atoms=[(0.5, 1.0)]) == 0.0
 
     def test_partial_overlap_with_domain(self):
-        sf = StepFunction(pairs=((-1.0, 1.0),), coefficients=(1.0,))
         expected = cumulant(P21, 1.0, 1.0) * 1.0  # only [0, 1] inside
-        assert step_integral_lebesgue(P21, 1.0, sf, [(0.0, 5.0)]) == pytest.approx(expected, abs=1e-12)
+        assert _integral(((-1.0, 1.0),), (1.0,), [(0.0, 5.0)]) == pytest.approx(expected, abs=1e-12)
+
+    def test_atoms_read_the_closed_right_end(self):
+        # an atom at hi is inside ]lo, hi], one at lo is not
+        expected = 0.5 * cumulant(P21, 1.0, 2.0)
+        assert _integral(((-1.0, 1.0),), (2.0,), [], atoms=[(-1.0, 3.0), (1.0, 0.5)]) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -286,11 +304,10 @@ class TestStepIntegral:
         while i + 1 < len(pts):
             pairs.append((pts[i], pts[i + 1]))
             i += 2
-        sf = StepFunction(pairs=tuple(pairs), coefficients=tuple(coeffs[: len(pairs)]))
-        domain = [(-3.5, 4.5)]
-        exact = step_integral_lebesgue(P21, 1.0, sf, domain)
+        coefficients = tuple(coeffs[: len(pairs)])
+        exact = _integral(pairs, coefficients, [(-3.5, 4.5)])
         xs = np.linspace(-3.5 + 5e-5, 4.5 - 5e-5, 80_000)
-        riemann = float(np.sum(cumulant(P21, 1.0, sf(xs))) * (8.0 / 80_000))
+        riemann = float(np.sum(cumulant(P21, 1.0, _levels(xs, pairs, coefficients))) * (8.0 / 80_000))
         assert exact == pytest.approx(riemann, abs=2e-3)
 
 

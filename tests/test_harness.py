@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from scbm.branching import BranchingParams
+from scbm.branching import BranchingParams, cumulant, cumulant_limit
 from scbm.engine import MeasureSpec
 from scbm.harness import (
     AbsorbingExtinctionConfig,
@@ -15,9 +15,12 @@ from scbm.harness import (
     ReflectedLaplaceConfig,
     VacancyBoundConfig,
     _absorbing_lhs,
+    _laplace_rhs_batch,
+    _level_paths,
     _mc_batched,
     _report,
     _uniform_grid,
+    _vacancy_rhs_batch,
     absorbing_extinction_check,
     hybrid_grid,
     interval_vacancy_bound_check,
@@ -178,6 +181,59 @@ class TestLaplaceDuality:
         a = laplace_duality_check(cfg, seed=11, threads=1)
         b = laplace_duality_check(cfg, seed=11, threads=2)
         assert a == b
+
+    def test_two_intervals_and_an_atom_consistent(self):
+        mu = MeasureSpec(intervals=((-2.0, -0.5), (0.5, 2.0)), atoms=((0.0, 0.5),))
+        rep = laplace_duality_check(replace(LAPLACE_BASE, mu=mu), seed=109)
+        assert rep.verdict == "consistent", f"z={rep.z_score}"
+
+
+def _scalar_rhs(params, t, row, coefficients, mu):
+    """exp(-<mu, u_t(h)>) for one row of evolved level points, in plain Python piece by piece."""
+    pairs = [(row[2 * j], row[2 * j + 1]) for j in range(len(coefficients))]
+
+    def h(x):
+        return sum(c for (lo, hi), c in zip(pairs, coefficients) if lo < x <= hi)
+
+    total = 0.0
+    for a, b in mu.intervals:
+        edges = [a] + sorted(x for x in set(row) if a < x < b) + [b]
+        for e0, e1 in zip(edges, edges[1:]):
+            total += cumulant(params, t, h(0.5 * (e0 + e1))) * (e1 - e0)
+    for loc, m in mu.atoms:
+        total += m * cumulant(params, t, h(loc))
+    return math.exp(-total)
+
+
+class TestBatchedRightSides:
+    """The right sides of a whole batch at once against a per-replica evaluation of the same draws."""
+
+    def test_laplace_rhs_matches_scalar(self):
+        cfg = LaplaceDualityConfig(
+            params=BranchingParams(gamma=2.0, beta=0.5),
+            t=0.5,
+            mu=MeasureSpec(intervals=((-3.0, -0.5), (0.2, 2.5)), atoms=((0.1, 0.7), (1.0, 0.3))),
+            pairs=((-1.5, 0.5), (-0.5, 1.5), (0.0, 0.0)),
+            coefficients=(1.0, 2.0, 3.0),
+            n=10,
+        )
+        for seed in range(5):
+            values = _laplace_rhs_batch(cfg, cfg.params, np.random.default_rng(seed), 64)
+            finals = _level_paths(np.ravel(cfg.pairs), 64, cfg.t, cfg.dt, np.random.default_rng(seed))
+            expected = [_scalar_rhs(cfg.params, cfg.t, list(row), cfg.coefficients, cfg.mu) for row in finals]
+            assert np.max(np.abs(values - expected)) <= 1e-15
+
+    def test_vacancy_rhs_matches_scalar(self):
+        mu = MeasureSpec(intervals=((-3.0, -0.2), (0.1, 3.0)), atoms=((0.0, 0.5), (2.0, 0.2)))
+        cfg = VacancyBoundConfig(params=P21, a=0.5, s1=0.3, s2=0.6, mu=mu, n=10)
+        values = _vacancy_rhs_batch(cfg, np.random.default_rng(3), 256)
+        rng = np.random.default_rng(3)
+        x = np.abs(rng.normal(0.0, math.sqrt(0.3), 256))
+        y = np.abs(rng.normal(0.0, math.sqrt(0.3), 256))
+        finals = _level_paths(np.column_stack((-x - 0.5, 0.5 + y)), 256, 0.3, cfg.dt, rng)
+        theta = cumulant_limit(P21, 0.3)
+        expected = [math.exp(-theta * mu.mass_in(float(lo), float(hi))) for lo, hi in finals]
+        assert np.max(np.abs(values - expected)) <= 1e-15
 
 
 class TestAbsorbingExtinction:
