@@ -12,6 +12,11 @@ Subpackage map:
 * :mod:`scbm.cli` - experiment command line
 """
 
+# numpy 2 imports numpy.random and numpy.ma on first use (np.unique reads np.ma); importing them with the
+# package keeps that import out of the first draw and the first grid of every command
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .branching import (
     BranchingParams,
     cumulant,

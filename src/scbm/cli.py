@@ -19,7 +19,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .branching import BranchingParams, cumulant, cumulant_limit, sample_entrance_mass, sample_transition
 from .config import ConfigError, apply_schema, load_config
@@ -49,7 +48,14 @@ from .harness import (
     reflected_laplace_smoke,
     truncation_escape_bound,
 )
-from .oracle import array_law_exact, check_generator_duality
+from .oracle import (
+    ORACLE_STATES,
+    array_law_exact,
+    array_law_states,
+    check_generator_duality,
+    window_radius,
+    window_states,
+)
 from .svgplot import line_chart
 
 CSV_HEADER = "experiment,seed,replica_or_index,param_name,param_value,horizon_or_n,value,stderr,flag"
@@ -135,7 +141,42 @@ def _verify_settings(settings) -> list[tuple[int, int]]:
         need = f"comma-separated MxN with M, N >= 1, got {case.strip()!r}"
         _require(section, "cases", m >= 1 and n >= 1, need)
         cases.append((m, n))
+    _oracle_budget(settings, cases)
     return cases
+
+
+def _oracle_budget(settings, cases) -> None:
+    """Refuse, from counts alone, any window of more than ``ORACLE_STATES`` states the run would enumerate.
+
+    A case names ``radius``; an array time names ``array_tol`` when it would fit at the default tolerance,
+    and ``array_times`` otherwise.
+    """
+    section = "verify-duality"
+    barriers = (settings["barrier_lo"], settings["barrier_hi"])
+    x0, y0, tol = settings["array_x"], settings["array_y"], settings["array_tol"]
+    particles = max(len(x0), len(y0))
+
+    def refuse_above(count, key, what):
+        size = f"{count:,}" if count < 10**12 else "more than 10**12"
+        need = f"windows of at most {ORACLE_STATES} lattice states; {what} would have {size}"
+        _require(section, key, count <= ORACLE_STATES, need)
+
+    def array_states(t, tol):
+        return array_law_states(x0, y0, barriers, window_radius(t, particles, tol))
+
+    window = (barriers[0] - settings["radius"], barriers[1] + settings["radius"])
+    for m, n in cases + [(1, 2)]:  # (1, 2): the negative control
+        count = max(window_states(window, "integers", m), window_states(window, "half_integers", n))
+        refuse_above(count, "radius", f"case {m}x{n}")
+    for t in settings["array_times"]:
+        # below array_tol = 5 * particles the radius passes the median of Poisson(t), so it is at least
+        # floor(t): a long time is refused before its Poisson support is summed (for a larger tolerance,
+        # which certifies nothing, this bound is conservative)
+        least = array_law_states(x0, y0, barriers, max(1, math.floor(t)))
+        refuse_above(least, "array_times", f"time {t:g} at any array_tol below {5 * particles}")
+        default_tol = VERIFY_SCHEMA["array_tol"][1]
+        key = "array_tol" if array_states(t, max(tol, default_tol)) <= ORACLE_STATES else "array_times"
+        refuse_above(array_states(t, tol), key, f"time {t:g} at array_tol = {tol:g}")
 
 
 def _run_verify_duality(settings, seed, threads):
@@ -267,6 +308,8 @@ def _run_csbp_check(settings, seed, threads):
     r = settings["entrance_r"]
     theta = cumulant_limit(params, r)
     sample = sample_entrance_mass(params, r, _stream(seed, 2), size=settings["entrance_n"])
+    from scipy import stats  # the KS p-value is csbp-check's only use of scipy; other commands start without it
+
     pvalue = float(stats.kstest(sample, "expon", args=(0.0, 1.0 / theta)).pvalue)
     ok = pvalue > settings["ks_pmin"] if params.beta == 1.0 else True
     failed |= not ok

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import integrate
 
 from .branching import BranchingParams, cumulant_limit, sample_transition
 from .engine import MeasureSpec, init_ensemble
@@ -203,6 +202,8 @@ class IntegralDiagnostics:
 
 
 def _tail_quad(g: GrowthFunction, beta: float, lo: float, hi: float) -> float:
+    from scipy import integrate  # loaded by the integral test alone, not on import
+
     cuts = g.breakpoints(lo, hi)
     edges = [lo] + cuts + [hi]
     total = 0.0

@@ -19,6 +19,9 @@ Every measure-valued side starts at time 0 from :func:`~scbm.engine.init_ensembl
 one cluster per lattice cell of width ``spacing``, carrying the measure of its
 cell, stepped on :func:`_lattice_grid`.  The checks without branching start
 from the same lattice without masses.
+
+The closed forms read the normal law through ``math.erf`` and ``math.erfc``,
+so importing the harness loads no scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.stats import norm
 
 from .branching import BranchingParams, cumulant, cumulant_limit
 from .engine import MeasureSpec, init_ensemble
@@ -305,22 +307,26 @@ def _absorbing_lhs(cfg: AbsorbingExtinctionConfig, rng: np.random.Generator, cou
 
 
 def reflected_gap_vacancy_exact(c: float, t: float) -> float:
-    """P(both one-sided reflections stay within c of their anchors up to t)."""
+    """P(both one-sided reflections stay within c of their anchors up to t): (2 Phi(c / sqrt(t)) - 1)**2.
+
+    2 Phi(x) - 1 = erf(x / sqrt(2)).
+    """
     if c < 0:
         raise ValueError("gap half-width must be >= 0")
-    return float((2.0 * norm.cdf(c / math.sqrt(t)) - 1.0) ** 2)
+    return math.erf(c / math.sqrt(2.0 * t)) ** 2
 
 
 def truncation_escape_bound(margin: float, t: float) -> float:
     """Bound on the chance an extremal path outruns the measure truncation by t.
 
     A Brownian path started at the far edge reaches past the margin with
-    probability 2 (1 - Phi(margin / sqrt(t))); below this bound the truncation
-    cannot influence window events.
+    probability 2 (1 - Phi(margin / sqrt(t))) = erfc(margin / sqrt(2 t)); below
+    this bound the truncation cannot influence window events.  ``erfc`` keeps
+    its relative accuracy in the far tail, where 1 - Phi cancels to 0.
     """
     if margin < 0 or t <= 0:
         raise ValueError("need margin >= 0 and t > 0")
-    return float(2.0 * (1.0 - norm.cdf(margin / math.sqrt(t))))
+    return math.erfc(margin / math.sqrt(2.0 * t))
 
 
 def absorbing_extinction_check(cfg: AbsorbingExtinctionConfig, seed: int, threads: int = 1) -> ComparisonReport:

@@ -16,6 +16,13 @@ the slot of each point among the levels, #{j : y_j < x_i} - 1, one-hot in
 row i when it lies in 0..n-2 and an empty row otherwise.  The array laws are
 indexed by its bit-packed view, the generator identity by one base-n digit
 per particle over a slot table built once per case.
+
+Uniformization and the window radius read the Poisson law from one private
+helper, ``_poisson``: its pmf is exp(k log mu - lgamma(k + 1) - mu) and its
+upper tails are summed from the far end of a support sized from the
+tolerance asked for, so far-out tails keep their relative accuracy.  No
+enumeration may hold more than ``ORACLE_STATES`` window states; the count is
+taken with ``math.comb`` before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import stats
 
 from .lattice import BoundarySpec, _blocks_of, _pattern_codes, state_moves
 
@@ -38,9 +44,21 @@ __all__ = [
     "check_generator_duality",
     "array_law_exact",
     "window_radius",
+    "window_states",
+    "array_law_states",
+    "ORACLE_STATES",
 ]
 
 _CHUNK_CELLS = 1 << 17  # dense residual cells summed per chunk of x states: 1 MB
+
+# Window states one enumeration may hold (defaults: at most 1,771).  transient_law keeps dense ns x ns float64
+# matrices, 128 MiB each at 4096 states, and the generator identity sums nx * ny * n**m cells: a larger window is
+# refused from its count, before anything is enumerated.
+ORACLE_STATES = 4096
+
+# Longest Poisson support _poisson sums (8 MiB per array).  Poisson(mu) needs about mu terms, so a larger mean is
+# refused before its terms are allocated.
+_POISSON_TERMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,6 +98,19 @@ def _sites(window: tuple[float, float], lattice: str) -> list[float]:
     return [v + off for v in range(math.ceil(window[0] - off), math.floor(window[1] - off) + 1)]
 
 
+def window_states(window: tuple[float, float], lattice: str, particles: int) -> int:
+    """Canonical ``particles``-particle states on the sites of ``window``, counted without enumerating them."""
+    off = 0.5 if lattice == "half_integers" else 0.0
+    sites = max(0, math.floor(window[1] - off) - math.ceil(window[0] - off) + 1)
+    return math.comb(sites + particles - 1, particles)
+
+
+def _check_states(window: tuple[float, float], lattice: str, particles: int) -> None:
+    count = window_states(window, lattice, particles)
+    if count > ORACLE_STATES:
+        raise ValueError(f"{count} {particles}-particle states in window {window}: more than {ORACLE_STATES}")
+
+
 def _rows_and_rates(boundary: BoundarySpec, states):
     """Each state followed by its move targets, with the source index and the generator's rate of each."""
     rows, src, rates = [], [], []
@@ -97,6 +128,7 @@ def build_generator(boundary: BoundarySpec, m: int, window: tuple[float, float])
     lo, hi = window
     if boundary.points and not (lo <= min(boundary.points) - 1 and hi >= max(boundary.points) + 1):
         raise ValueError("window must contain every barrier with margin >= 1")
+    _check_states(window, lattice, m)
     sites = _sites(window, lattice)
     if not sites:
         raise ValueError("window is empty")
@@ -128,15 +160,39 @@ def transient_law(Q: RateMatrix, init: int, t: float, tol: float = 1e-8) -> Tran
     if t == 0 or lam == 0:
         return TransientLaw(probs=v, series_remainder=0.0, lost_mass=0.0)
     P = np.eye(ns) + Q.rates / lam
-    mean = lam * t
-    nterms = int(stats.poisson.isf(tol, mean)) + 1
-    remainder = float(stats.poisson.sf(nterms - 1, mean))
-    weights = stats.poisson.pmf(np.arange(nterms), mean)
+    weights, tails = _poisson(lam * t, tol)
     dist = weights[0] * v
-    for k in range(1, nterms):
+    for k in range(1, len(weights)):
         v = v @ P
         dist = dist + weights[k] * v
-    return TransientLaw(probs=dist, series_remainder=remainder, lost_mass=float(1.0 - dist.sum()))
+    return TransientLaw(probs=dist, series_remainder=float(tails[-1]), lost_mass=float(1.0 - dist.sum()))
+
+
+def _poisson(mu: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(mu) pmf and upper tails P(N > k) for k = 0 .. K, K the first k with P(N > k) <= tol.
+
+    The pmf is exp(k log mu - lgamma(k + 1) - mu), the formula of ``scipy.stats.poisson``.  The tails are
+    summed from the far end, the first k past mu whose term is below tol * e**-45, instead of taken as
+    1 - cdf, which cancels to 0 far out.  The terms beyond the far end would add at most tol * e**-45 * mu
+    to any tail.
+    """
+    if mu == 0.0 or tol >= 1.0:  # P(N > 0) = 1 - exp(-mu) <= tol already
+        return np.array([math.exp(-mu)]), np.array([-math.expm1(-mu)])
+    floor = math.log(tol) - 45.0
+    size = int(mu + 10.0 * math.sqrt(mu)) + 64
+    while True:
+        if size > _POISSON_TERMS:
+            raise ValueError(f"Poisson({mu:g}) needs more than {_POISSON_TERMS} terms")
+        k = np.arange(size)
+        logpmf = k * math.log(mu) - np.fromiter(map(math.lgamma, range(1, size + 1)), float, size) - mu
+        far = np.flatnonzero((k > mu) & (logpmf < floor))
+        if far.size:
+            break
+        size *= 2
+    pmf = np.exp(logpmf[: far[0] + 1])
+    tails = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
+    last = int(np.argmax(tails <= tol))
+    return pmf[: last + 1], tails[: last + 1]
 
 
 def window_radius(t: float, particles: int, tol: float) -> int:
@@ -144,14 +200,11 @@ def window_radius(t: float, particles: int, tol: float) -> int:
 
     A rate-1 walk needs at least W jumps to move W sites, so the chance any of
     the particles leaves a margin of W by time t is at most
-    particles * P(Poisson(t) >= W).
+    particles * P(Poisson(t) >= W), read from the tails of ``_poisson``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    w = 1
-    while particles * stats.poisson.sf(w - 1, t) >= tol / 10.0:
-        w += 1
-    return w
+    return len(_poisson(t, tol / (10.0 * particles))[1])
 
 
 def _bit_codes(slots: np.ndarray, n: int) -> np.ndarray:
@@ -192,6 +245,8 @@ def check_generator_duality(
     a, b = barriers
     if window is None:
         window = (a - radius, b + radius)
+    _check_states(window, "integers", m)
+    _check_states(window, "half_integers", n)
     sites = np.array(_sites((window[0] - 1.0, window[1] + 1.0), "integers"))
     x_states = tuple(combinations_with_replacement(_sites(window, "integers"), m))
     y_states = tuple(combinations_with_replacement(_sites(window, "half_integers"), n))
@@ -228,6 +283,17 @@ def check_generator_duality(
     return residual
 
 
+def _array_window(x0, y0, barriers: tuple[float, float], radius: float) -> tuple[float, float]:
+    """The window of ``array_law_exact``: points, levels and barriers widened by ``radius``."""
+    return min(min(x0), min(y0), barriers[0]) - radius, max(max(x0), max(y0), barriers[1]) + radius
+
+
+def array_law_states(x0, y0, barriers: tuple[float, float], radius: float) -> int:
+    """States of the larger of the two chains ``array_law_exact`` enumerates at window radius ``radius``."""
+    window = _array_window(x0, y0, barriers, radius)
+    return max(window_states(window, "integers", len(x0)), window_states(window, "half_integers", len(y0)))
+
+
 @dataclass(frozen=True)
 class ArrayLawResult:
     """Forward and backward crossing-array laws with their distance and budget."""
@@ -255,12 +321,9 @@ def array_law_exact(
     laws are computed over a window sized so the certified truncation plus
     series error stays within the budget.
     """
-    a, b = barriers
     if any(v in barriers for v in y0):
         raise ValueError("levels must avoid the barriers")
-    w = window_radius(t, max(m, n), tol)
-    lo = min(min(x0), min(y0), a) - w
-    hi = max(max(x0), max(y0), b) + w
+    lo, hi = _array_window(x0, y0, barriers, window_radius(t, max(m, n), tol))
     npat = 1 << (m * (n - 1))
 
     absorbed = build_generator(BoundarySpec("absorbing", barriers), m, (lo, hi))

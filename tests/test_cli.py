@@ -86,6 +86,12 @@ class TestCliRuns:
         assert content.splitlines()[0] == CSV_HEADER
         assert "generator_residual" in content
 
+    @pytest.mark.parametrize("tol", ["1e-20", "1e-40"])
+    def test_tiny_array_tol_runs(self, tmp_path, tol):
+        # the series length used to come from inverting the Poisson cdf at 1 - tol, which rounds to 1 below 1e-17
+        cfg = _write(tmp_path, FAST_VERIFY + f"array_tol = {tol}\n")
+        assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_integral_test_and_determinism(self, tmp_path):
         cfg = _write(tmp_path, FAST_INTEGRAL)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -308,6 +314,14 @@ class TestCliErrors:
             ("verify-duality", "control_min = inf", "control_min"),
             ("verify-duality", "control_min = -inf", "control_min"),
             ("integral-test", "seq_n = 0", "seq_n"),
+            # oracle windows above ORACLE_STATES, refused from their state counts before anything is enumerated
+            ("verify-duality", "array_times = 100", "array_times"),
+            ("verify-duality", "array_times = 30", "array_times"),
+            ("verify-duality", "array_times = 1e300", "array_times"),
+            ("verify-duality", "array_tol = 1e-300", "array_tol"),
+            ("verify-duality", "radius = 1e6", "radius"),
+            ("verify-duality", "radius = 1e300", "radius"),
+            ("verify-duality", "cases = 1x2,4x4", "radius"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, line, key):

@@ -28,6 +28,7 @@ from scbm.harness import (
     occupation_duality_check,
     reflected_gap_vacancy_exact,
     reflected_laplace_smoke,
+    truncation_escape_bound,
 )
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
@@ -113,6 +114,18 @@ class TestReports:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
             reflected_gap_vacancy_exact(-1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "x, exact",  # 2 (1 - Phi(x)) to 20 digits
+        [(6.0, 1.9731752900753962814e-9), (8.0, 1.2441921148543568247e-15), (10.0, 1.5239706048321052132e-23)],
+    )
+    def test_truncation_bound_keeps_the_far_tail(self, x, exact):
+        # 2 (1 - norm.cdf(x)) lost 6e-9 of its value at x = 6, 7% at x = 8 and all of it from x = 8.5 on
+        for margin, t in ((x, 1.0), (x / 2.0, 0.25)):
+            got = truncation_escape_bound(margin, t)
+            assert got > 0.0
+            assert got == pytest.approx(math.erfc(x / math.sqrt(2.0)), rel=1e-14, abs=0.0)
+            assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 class TestHybridGrid:

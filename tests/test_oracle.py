@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -9,13 +10,18 @@ from hypothesis import strategies as st
 
 from scbm.lattice import HALF_INTEGERS, BoundarySpec, coalesce_state, indicator_array, simulate_walk, state_moves
 from scbm.oracle import (
+    ORACLE_STATES,
+    _array_window,
     _bit_codes,
     _pattern_codes,
+    _poisson,
     array_law_exact,
+    array_law_states,
     build_generator,
     check_generator_duality,
     transient_law,
     window_radius,
+    window_states,
 )
 
 FREE = BoundarySpec("free")
@@ -213,3 +219,98 @@ class TestWindowRadius:
 
         w = window_radius(1.0, 2, 1e-6)
         assert 2 * stats.poisson.sf(w - 1, 1.0) < 1e-7
+
+
+POISSON_MEANS = [0.01, 0.25, 1.0, 5.0, 40.0, 500.0]
+POISSON_TOLS = [1e-3, 1e-6, 1e-12, 1e-100, 1e-300]
+
+
+class TestPoisson:
+    @pytest.mark.parametrize("mu", POISSON_MEANS)
+    @pytest.mark.parametrize("tol", POISSON_TOLS)
+    def test_against_scipy(self, mu, tol):
+        from scipy import stats
+
+        pmf, tails = _poisson(mu, tol)
+        k = np.arange(len(pmf))
+        # both sides round an exponent built from terms of size k |log mu| + lgamma(k + 1) + mu, and their
+        # lgamma (math against scipy.special) differ by up to 2 ulp there: past 1e-13 allow 4 ulp of that size
+        size = k * abs(math.log(mu)) + np.array([math.lgamma(j + 1.0) for j in k]) + mu
+        slack = 4 * np.finfo(float).eps * size
+        assert np.all(np.abs(pmf / stats.poisson.pmf(k, mu) - 1) <= 1e-13 + slack)
+        sf = stats.poisson.sf(k, mu)
+        shown = sf > 1e-290
+        assert np.all(np.abs(tails[shown] / sf[shown] - 1) <= 1e-12 + slack.max())
+        # the support ends at the first k with P(N > k) <= tol
+        first = int(np.argmax(stats.poisson.sf(np.arange(len(pmf) + 100), mu) <= tol))
+        assert len(pmf) == first + 1
+        isf = stats.poisson.isf(tol, mu)
+        if np.isfinite(isf):  # isf inverts the cdf at 1 - tol, which rounds to 1 below about 1e-17
+            assert len(pmf) == int(isf) + 1
+
+    def test_far_tail_is_not_cancelled(self):
+        # P(N > 9) for N ~ Poisson(0.01) is about 2.8e-27; 1 - cdf would give 0
+        _, tails = _poisson(0.01, 1e-30)
+        exact = sum(0.01**j / math.factorial(j) for j in range(10, 30)) * math.exp(-0.01)
+        assert tails[9] == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert tails[9] > 0
+
+    @pytest.mark.parametrize("tol", POISSON_TOLS + [1.0, 5.0])
+    def test_zero_mean_and_large_tolerance_need_one_term(self, tol):
+        pmf, tails = _poisson(0.0, tol)
+        assert pmf.tolist() == [1.0] and tails.tolist() == [0.0]
+        if tol >= 1.0:
+            pmf, tails = _poisson(3.0, tol)
+            assert pmf.tolist() == [math.exp(-3.0)] and tails.tolist() == [-math.expm1(-3.0)]
+
+    def test_huge_mean_refused_before_allocation(self):
+        with pytest.raises(ValueError, match="terms"):
+            _poisson(1e300, 1e-6)
+
+    @pytest.mark.parametrize("t", [0.0] + POISSON_MEANS)
+    @pytest.mark.parametrize("particles", [1, 2, 3])
+    def test_window_radius_matches_scipy_loop(self, t, particles):
+        from scipy import stats
+
+        for tol in POISSON_TOLS:
+            w = 1
+            while particles * stats.poisson.sf(w - 1, t) >= tol / 10.0:
+                w += 1
+            assert window_radius(t, particles, tol) == w
+
+    def test_transient_remainder_is_the_series_tail(self):
+        from scipy import stats
+
+        Q = build_generator(FREE, 2, (-6.0, 6.0))
+        lam = float(np.max(-np.diag(Q.rates)))
+        law = transient_law(Q, Q.index((-1.0, 1.0)), 0.5, tol=1e-10)
+        nterms = int(stats.poisson.isf(1e-10, lam * 0.5)) + 1
+        assert law.series_remainder == pytest.approx(stats.poisson.sf(nterms - 1, lam * 0.5), rel=1e-12, abs=0.0)
+
+
+class TestStateBudget:
+    @pytest.mark.parametrize("lattice", ["integers", "half_integers"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_count_matches_enumeration(self, lattice, m):
+        boundary = FREE if lattice == "integers" else BoundarySpec("reflecting", (0.0, 4.0))
+        window = (-3.0, 7.0)
+        assert window_states(window, lattice, m) == len(build_generator(boundary, m, window).states)
+
+    def test_array_count_matches_enumeration(self):
+        x0, y0, barriers = (1.0, 3.0), (0.5, 2.5), (0.0, 4.0)
+        radius = window_radius(1.0, 2, 1e-6)
+        window = _array_window(x0, y0, barriers, radius)
+        absorbed = build_generator(BoundarySpec("absorbing", barriers), 2, window)
+        reflected = build_generator(BoundarySpec("reflecting", barriers), 2, window)
+        assert array_law_states(x0, y0, barriers, radius) == max(len(absorbed.states), len(reflected.states))
+
+    def test_large_windows_refused_before_enumeration(self):
+        start = time.perf_counter()
+        assert window_states((-1e6, 1e6), "half_integers", 2) > 10**12
+        with pytest.raises(ValueError, match=str(ORACLE_STATES)):
+            build_generator(FREE, 2, (-1e6, 1e6))
+        with pytest.raises(ValueError, match=str(ORACLE_STATES)):
+            check_generator_duality(1, 2, barriers=(0.0, 4.0), radius=1e6)
+        with pytest.raises(ValueError, match=str(ORACLE_STATES)):
+            array_law_exact(2, 2, (1.0, 3.0), (0.5, 2.5), (0.0, 4.0), 100.0)
+        assert time.perf_counter() - start < 1.0
