@@ -88,7 +88,7 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("tol", ["1e-20", "1e-40"])
     def test_tiny_array_tol_runs(self, tmp_path, tol):
-        # the series length used to come from inverting the Poisson cdf at 1 - tol, which rounds to 1 below 1e-17
+        # the series length cannot come from inverting the Poisson cdf at 1 - tol, which rounds to 1 below 1e-17
         cfg = _write(tmp_path, FAST_VERIFY + f"array_tol = {tol}\n")
         assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 

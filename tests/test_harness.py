@@ -120,7 +120,7 @@ class TestReports:
         [(6.0, 1.9731752900753962814e-9), (8.0, 1.2441921148543568247e-15), (10.0, 1.5239706048321052132e-23)],
     )
     def test_truncation_bound_keeps_the_far_tail(self, x, exact):
-        # 2 (1 - norm.cdf(x)) lost 6e-9 of its value at x = 6, 7% at x = 8 and all of it from x = 8.5 on
+        # taken as 2 (1 - norm.cdf(x)) the bound loses 6e-9 of its value at x = 6, 7% at x = 8 and all of it from 8.5
         for margin, t in ((x, 1.0), (x / 2.0, 0.25)):
             got = truncation_escape_bound(margin, t)
             assert got > 0.0
