@@ -148,8 +148,9 @@ def _verify_settings(settings) -> list[tuple[int, int]]:
 def _oracle_budget(settings, cases) -> None:
     """Refuse, from counts alone, any window of more than ``ORACLE_STATES`` states the run would enumerate.
 
-    A case names ``radius``; an array time names ``array_tol`` when it would fit at the default tolerance,
-    and ``array_times`` otherwise.
+    A case names ``radius``; array points that do not fit at the default tolerance and the shortest
+    time, default or asked for, name ``array_x`` or ``array_y``; an array time names ``array_tol`` when
+    it would fit at the default tolerance, and ``array_times`` otherwise.
     """
     section = "verify-duality"
     barriers = (settings["barrier_lo"], settings["barrier_hi"])
@@ -168,13 +169,16 @@ def _oracle_budget(settings, cases) -> None:
     for m, n in cases + [(1, 2)]:  # (1, 2): the negative control
         count = max(window_states(window, "integers", m), window_states(window, "half_integers", n))
         refuse_above(count, "radius", f"case {m}x{n}")
+    default_tol = VERIFY_SCHEMA["array_tol"][1]
+    first = min(*VERIFY_SCHEMA["array_times"][1], *settings["array_times"])
+    what = f"the array points at time {first:g} and the default array_tol"
+    refuse_above(array_states(first, default_tol), "array_x" if len(x0) >= len(y0) else "array_y", what)
     for t in settings["array_times"]:
         # below array_tol = 5 * particles the radius passes the median of Poisson(t), so it is at least
         # floor(t): a long time is refused before its Poisson support is summed (for a larger tolerance,
         # which certifies nothing, this bound is conservative)
         least = array_law_states(x0, y0, barriers, max(1, math.floor(t)))
         refuse_above(least, "array_times", f"time {t:g} at any array_tol below {5 * particles}")
-        default_tol = VERIFY_SCHEMA["array_tol"][1]
         key = "array_tol" if array_states(t, max(tol, default_tol)) <= ORACLE_STATES else "array_times"
         refuse_above(array_states(t, tol), key, f"time {t:g} at array_tol = {tol:g}")
 

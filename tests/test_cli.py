@@ -322,6 +322,9 @@ class TestCliErrors:
             ("verify-duality", "radius = 1e6", "radius"),
             ("verify-duality", "radius = 1e300", "radius"),
             ("verify-duality", "cases = 1x2,4x4", "radius"),
+            ("verify-duality", "array_x = 1,1,1,1,1,1,1,1,1,1", "array_x"),
+            ("verify-duality", "array_y = 0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,2.5", "array_y"),
+            ("verify-duality", "array_x = 1,1,1,3", "array_x"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, line, key):
