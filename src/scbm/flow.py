@@ -15,6 +15,12 @@ a position local to its replica, clusters are sorted by (replica, position),
 pairs never merge across replicas and barriers act on local positions.  One
 step over many replicas amortizes the fixed cost of a step, and a system with
 one replica is the plain flow.
+
+Only an absorbing barrier freezes clusters, so a step reads the ``frozen``
+array only under one; without it every cluster is free and the step skips
+the frozen bookkeeping.  At the 10^2-10^3 clusters per call that the checks
+step, a step's cost is mostly the fixed cost of its numpy calls rather than
+work per cluster, which is why the free path makes as few of them as it can.
 """
 
 from __future__ import annotations
@@ -59,8 +65,10 @@ def _fold(values: np.ndarray, regions: np.ndarray, points: tuple[float, ...]) ->
     out = values.copy()
     lo_pts = [-math.inf] + list(points)
     hi_pts = list(points) + [math.inf]
-    for rid in np.unique(regions):
+    for rid in range(len(points) + 1):
         sel = regions == rid
+        if not sel.any():
+            continue
         lo, hi = lo_pts[rid], hi_pts[rid]
         v = out[sel]
         if lo == -math.inf:
@@ -90,27 +98,39 @@ def step_positions(
     (``replica``, value) and strictly increasing within a replica; ``replica``
     holds the replica ids (None: one replica), and pairs never merge across
     replicas.  ``frozen`` holds the absorbing barrier a cluster is stuck at,
-    NaN when free.  Returns ``(new_values, new_frozen, cluster_ids,
-    new_replica)``: ``cluster_ids`` maps each input cluster to its (merged)
-    output cluster index in order, ``new_replica`` gives each output cluster's
-    replica id.
+    NaN when free; it is read only under an absorbing barrier, and without
+    one every cluster is free and the returned ``new_frozen`` is a view of
+    ``frozen`` (all NaN) cut to the output length.  Returns ``(new_values,
+    new_frozen, cluster_ids, new_replica)``: ``cluster_ids`` maps each input
+    cluster to its (merged) output cluster index in order, ``new_replica``
+    gives each output cluster's replica id.
+
+    At the 10^2-10^3 clusters the checks step, a call costs mostly the fixed
+    cost of its numpy calls.  The draws, in order: one normal per free
+    cluster, under an absorbing barrier one uniform per cluster and barrier
+    point, then one uniform per adjacent pair.
     """
     k = len(values)
     if replica is None:
         replica = np.zeros(k, dtype=np.int64)
-    free = np.isnan(frozen)
-    noise = rng.normal(0.0, math.sqrt(dt), int(free.sum()))
-    if len(noise) == k:  # nothing frozen: skip the masked update
-        proposals = values + noise
+    absorbing = boundary is not None and boundary.kind == "absorbing"
+    new_frozen = frozen
+    if not absorbing:
+        proposals = values + rng.normal(0.0, math.sqrt(dt), k)
     else:
-        proposals = values.copy()
-        proposals[free] += noise
-    new_frozen = frozen.copy()
+        free = np.isnan(frozen)
+        noise = rng.normal(0.0, math.sqrt(dt), int(free.sum()))
+        if len(noise) == k:  # nothing frozen: skip the masked update
+            proposals = values + noise
+        else:
+            proposals = values.copy()
+            proposals[free] += noise
+        new_frozen = frozen.copy()
 
     if boundary is not None and boundary.kind == "reflecting":
         regions = _region_ids(values, boundary.points)
         proposals = _fold(proposals, regions, boundary.points)
-    elif boundary is not None and boundary.kind == "absorbing":
+    elif absorbing:
         regions = _region_ids(values, boundary.points)
         # barrier hits: certain on crossing, else a bridge draw; if both
         # barriers register in one step (rare double crossing) the one nearer
@@ -135,40 +155,59 @@ def step_positions(
     if not coalesce or k <= 1:
         return proposals, new_frozen, np.arange(k), replica
 
-    # pair decisions between adjacent clusters of one replica, one bridge draw per pair
-    d0 = values[1:] - values[:-1]
+    # pair decisions between adjacent clusters of one replica, one bridge draw
+    # per pair: merge with probability exp(-d0 * max(d1, 0) / dt)
     d1 = proposals[1:] - proposals[:-1]
     same = replica[1:] == replica[:-1]
-    free_pair = same & np.isnan(new_frozen[1:]) & np.isnan(new_frozen[:-1])
-    if boundary is not None:
-        free_pair &= regions[1:] == regions[:-1]
-    with np.errstate(over="ignore"):
-        bridge = np.exp(-d0 * np.maximum(d1, 0.0) / dt)
-    merge = np.where(
-        free_pair,
-        (d1 <= 0.0) | (rng.random(k - 1) < bridge),
-        same & (proposals[1:] == proposals[:-1]),
-    )
+    with np.errstate(over="ignore"):  # -d0 > 0 only across replicas
+        bridge = values[:-1] - values[1:]  # -d0, bit for bit
+        bridge *= np.maximum(d1, 0.0)
+        bridge /= dt
+        np.exp(bridge, out=bridge)
+    merge = rng.random(k - 1) < bridge
+    merge |= d1 <= 0.0
+    if boundary is None:
+        merge &= same
+    else:
+        # a pair that straddles a barrier, or has a frozen member, merges only
+        # when both sit at one point
+        free_pair = same & (regions[1:] == regions[:-1])
+        if absorbing:
+            free_pair &= np.isnan(new_frozen[1:]) & np.isnan(new_frozen[:-1])
+        merge = np.where(free_pair, merge, same & (proposals[1:] == proposals[:-1]))
+    if absorbing:
+        return _resolve_clusters(proposals, new_frozen, merge, replica)
+    vals, _, ids, reps = _resolve_clusters(proposals, None, merge, replica)
+    return vals, frozen[: len(vals)], ids, reps
 
-    return _resolve_clusters(proposals, new_frozen, merge, replica)
 
+def _resolve_clusters(proposals: np.ndarray, frozen: np.ndarray | None, merge: np.ndarray, replica: np.ndarray):
+    """Union adjacent merge decisions, set cluster values, repair inversions within each replica.
 
-def _resolve_clusters(proposals: np.ndarray, frozen: np.ndarray, merge: np.ndarray, replica: np.ndarray):
-    """Union adjacent merge decisions, set cluster values, repair inversions within each replica."""
+    ``frozen`` None means no cluster is frozen; the returned cluster
+    ``frozen`` is then None as well.
+    """
+    starts = np.empty(len(proposals), dtype=bool)
+    starts[0] = True
     while True:
-        starts = np.concatenate(([True], ~merge))
-        ids = np.cumsum(starts) - 1
-        boundaries = np.flatnonzero(starts)
-        lo = np.minimum.reduceat(proposals, boundaries)
-        hi = np.maximum.reduceat(proposals, boundaries)
-        baked = np.fmin.reduceat(frozen, boundaries)  # fmin skips NaN
-        vals = np.where(np.isnan(baked), 0.5 * (lo + hi), baked)
+        np.logical_not(merge, out=starts[1:])
+        ids = starts.cumsum()
+        ids -= 1
+        boundaries = starts.nonzero()[0]
+        vals = np.minimum.reduceat(proposals, boundaries)
+        vals += np.maximum.reduceat(proposals, boundaries)
+        vals *= 0.5
+        baked = None
+        if frozen is not None:
+            baked = np.fmin.reduceat(frozen, boundaries)  # fmin skips NaN
+            vals = np.where(np.isnan(baked), vals, baked)
         reps = replica[boundaries]
-        inverted = (vals[1:] < vals[:-1]) & (reps[1:] == reps[:-1])
-        if not np.any(inverted):
+        inverted = vals[1:] < vals[:-1]
+        inverted &= reps[1:] == reps[:-1]
+        if not inverted.any():
             return vals, baked, ids, reps
         # force-merge offending cluster pairs and resolve again
-        bad_pairs = np.flatnonzero(inverted)  # cluster index c and c+1
+        bad_pairs = inverted.nonzero()[0]  # cluster index c and c+1
         pair_index = boundaries[bad_pairs + 1] - 1  # original adjacent pair position
         merge = merge.copy()
         merge[pair_index] = True

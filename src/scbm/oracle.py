@@ -147,7 +147,8 @@ def transient_law(Q: RateMatrix, init: int, t: float, tol: float = 1e-8) -> Tran
     """Distribution at time ``t`` from state index ``init`` by uniformization.
 
     The Poisson series is truncated once its tail is below ``tol``; mass that
-    leaks out of the window is dropped and reported in ``lost_mass``.
+    leaks out of the window is dropped and reported in ``lost_mass``, clamped
+    at 0 where rounding makes the summed law exceed 1.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -165,7 +166,7 @@ def transient_law(Q: RateMatrix, init: int, t: float, tol: float = 1e-8) -> Tran
     for k in range(1, len(weights)):
         v = v @ P
         dist = dist + weights[k] * v
-    return TransientLaw(probs=dist, series_remainder=float(tails[-1]), lost_mass=float(1.0 - dist.sum()))
+    return TransientLaw(probs=dist, series_remainder=float(tails[-1]), lost_mass=max(0.0, float(1.0 - dist.sum())))
 
 
 def _poisson(mu: float, tol: float) -> tuple[np.ndarray, np.ndarray]:

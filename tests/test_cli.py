@@ -92,6 +92,14 @@ class TestCliRuns:
         cfg = _write(tmp_path, FAST_VERIFY + f"array_tol = {tol}\n")
         assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
+    def test_array_budget_never_negative(self, tmp_path):
+        # at array_tol = 1e-20 the lost mass is below rounding, and 1 - sum(law) reads -2.2e-16 at t = 0.5 and 1
+        cfg = _write(tmp_path, "[run]\nseed = 7\n[verify-duality]\ncases = 1x2\narray_tol = 1e-20\n")
+        assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "verify-duality.csv").read_text().splitlines()]
+        budgets = [float(row[6]) for row in rows if row[3] == "array_budget"]
+        assert len(budgets) == 3 and min(budgets) >= 0.0
+
     def test_integral_test_and_determinism(self, tmp_path):
         cfg = _write(tmp_path, FAST_INTEGRAL)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from scbm.branching import BranchingParams, cumulant, cumulant_limit
 from scbm.engine import MeasureSpec
-from scbm.flow import FlowBoundary, ReplicaFlow, step_positions
+from scbm.flow import FlowBoundary, ReplicaFlow, _region_ids, _resolve_clusters, step_positions
 from scbm.harness import LaplaceDualityConfig, ReflectedLaplaceConfig, _level_integrals, _levels
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
@@ -152,6 +152,187 @@ class TestReplicaIsolation:
             assert np.array_equal(new_replica[ids], replica)
             for r in range(count):
                 assert np.all(np.diff(new_values[new_replica == r]) > 0)
+
+
+def _reference_step_positions(values, frozen, dt, rng, boundary=None, coalesce=True, replica=None):
+    """The step as it was before the free path skipped the frozen bookkeeping, kept as the reference."""
+    k = len(values)
+    if replica is None:
+        replica = np.zeros(k, dtype=np.int64)
+    free = np.isnan(frozen)
+    noise = rng.normal(0.0, math.sqrt(dt), int(free.sum()))
+    if len(noise) == k:
+        proposals = values + noise
+    else:
+        proposals = values.copy()
+        proposals[free] += noise
+    new_frozen = frozen.copy()
+
+    if boundary is not None and boundary.kind == "reflecting":
+        regions = _region_ids(values, boundary.points)
+        out = proposals.copy()
+        lo_pts = [-math.inf] + list(boundary.points)
+        hi_pts = list(boundary.points) + [math.inf]
+        for rid in np.unique(regions):
+            sel = regions == rid
+            lo, hi = lo_pts[rid], hi_pts[rid]
+            v = out[sel]
+            if lo == -math.inf:
+                v = hi - np.abs(hi - v)
+            elif hi == math.inf:
+                v = lo + np.abs(v - lo)
+            else:
+                period = 2.0 * (hi - lo)
+                z = np.mod(v - lo, period)
+                v = lo + np.minimum(z, period - z)
+            out[sel] = v
+        proposals = out
+    elif boundary is not None and boundary.kind == "absorbing":
+        regions = _region_ids(values, boundary.points)
+        hit_dist = np.full(k, np.inf)
+        hit_at = np.full(k, np.nan)
+        for bpt in boundary.points:
+            e0 = np.abs(values - bpt)
+            e1 = np.abs(proposals - bpt)
+            crossed = (values - bpt) * (proposals - bpt) <= 0.0
+            with np.errstate(over="ignore"):
+                bridge = np.exp(-2.0 * e0 * e1 / dt)
+            hit = free & (crossed | (rng.random(k) < bridge))
+            better = hit & (e0 < hit_dist)
+            hit_dist[better] = e0[better]
+            hit_at[better] = bpt
+        newly = free & ~np.isnan(hit_at)
+        new_frozen[newly] = hit_at[newly]
+        proposals[newly] = hit_at[newly]
+        proposals[~free] = frozen[~free]
+
+    if not coalesce or k <= 1:
+        return proposals, new_frozen, np.arange(k), replica
+
+    d0 = values[1:] - values[:-1]
+    d1 = proposals[1:] - proposals[:-1]
+    same = replica[1:] == replica[:-1]
+    free_pair = same & np.isnan(new_frozen[1:]) & np.isnan(new_frozen[:-1])
+    if boundary is not None:
+        free_pair &= regions[1:] == regions[:-1]
+    with np.errstate(over="ignore"):
+        bridge = np.exp(-d0 * np.maximum(d1, 0.0) / dt)
+    merge = np.where(
+        free_pair,
+        (d1 <= 0.0) | (rng.random(k - 1) < bridge),
+        same & (proposals[1:] == proposals[:-1]),
+    )
+    return _reference_resolve_clusters(proposals, new_frozen, merge, replica)
+
+
+def _reference_resolve_clusters(proposals, frozen, merge, replica):
+    while True:
+        starts = np.concatenate(([True], ~merge))
+        ids = np.cumsum(starts) - 1
+        boundaries = np.flatnonzero(starts)
+        lo = np.minimum.reduceat(proposals, boundaries)
+        hi = np.maximum.reduceat(proposals, boundaries)
+        baked = np.fmin.reduceat(frozen, boundaries)
+        vals = np.where(np.isnan(baked), 0.5 * (lo + hi), baked)
+        reps = replica[boundaries]
+        inverted = (vals[1:] < vals[:-1]) & (reps[1:] == reps[:-1])
+        if not np.any(inverted):
+            return vals, baked, ids, reps
+        bad_pairs = np.flatnonzero(inverted)
+        pair_index = boundaries[bad_pairs + 1] - 1
+        merge = merge.copy()
+        merge[pair_index] = True
+
+
+def _random_system(rng, boundary):
+    """Clusters of 1-6 replicas, 2 to about 5,000 in all, sorted by (replica, position).
+
+    Every replica draws its own positions, so neighbours across replicas
+    mostly have negative gaps; under an absorbing barrier some clusters start
+    frozen on it.
+    """
+    count = int(rng.integers(1, 7))
+    total = int(np.exp(rng.uniform(np.log(2), np.log(5000))))
+    sizes = np.bincount(rng.integers(0, count, total), minlength=count)
+    spread = float(rng.choice([0.05, 1.0, 4.0]))
+    values, replica = [], []
+    for r, size in enumerate(sizes):
+        pos = rng.normal(0.0, spread, size)
+        if boundary is not None:
+            pos = pos[~np.isin(pos, boundary.points)]
+            if boundary.kind == "absorbing":
+                pos = np.concatenate((pos, [p for p in boundary.points if rng.random() < 0.5]))
+        pos = np.unique(pos)
+        values.append(pos)
+        replica.append(np.full(len(pos), r, dtype=np.int64))
+    values, replica = np.concatenate(values), np.concatenate(replica)
+    frozen = np.full(len(values), np.nan)
+    if boundary is not None and boundary.kind == "absorbing":
+        on_bar = np.isin(values, boundary.points)
+        frozen[on_bar] = values[on_bar]
+    return values, frozen, replica
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning means a guard was lost
+class TestStepMatchesReference:
+    """``step_positions`` and ``_resolve_clusters`` give the reference's outputs and draws, bit for bit."""
+
+    BOUNDARIES = [
+        None,
+        FlowBoundary("reflecting", (0.0,)),
+        FlowBoundary("reflecting", (-0.5, 0.7)),
+        FlowBoundary("absorbing", (0.0,)),
+        FlowBoundary("absorbing", (-0.5, 0.7)),
+    ]
+
+    @staticmethod
+    def _assert_same(new, ref):
+        for a, b in zip(new, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: f"{b.kind}{len(b.points)}" if b else "free")
+    def test_steps_match(self, boundary):
+        pick = np.random.default_rng(811)
+        for trial in range(40):
+            values, frozen, replica = _random_system(pick, boundary)
+            dt = float(pick.choice([1e-4, 0.01, 0.25]))
+            rng, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
+            state, state_ref = (values, frozen, replica), (values.copy(), frozen.copy(), replica.copy())
+            for _ in range(3):
+                (v, f, r), (v_ref, f_ref, r_ref) = state, state_ref
+                out = step_positions(v, f, dt, rng, boundary=boundary, replica=r)
+                ref = _reference_step_positions(v_ref, f_ref, dt, rng_ref, boundary=boundary, replica=r_ref)
+                self._assert_same(out, ref)
+                state, state_ref = (out[0], out[1], out[3]), (ref[0], ref[1], ref[3])
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_one_replica_without_replica_ids(self):
+        for boundary in self.BOUNDARIES:
+            values = np.sort(np.random.default_rng(5).normal(0.0, 1.0, 300))
+            values = values[~np.isin(values, boundary.points)] if boundary is not None else values
+            frozen = np.full(len(values), np.nan)
+            rng, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
+            self._assert_same(
+                step_positions(values, frozen, 0.01, rng, boundary=boundary),
+                _reference_step_positions(values, frozen, 0.01, rng_ref, boundary=boundary),
+            )
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_resolve_clusters_matches(self):
+        # random merges over unsorted proposals force the inversion repair, with and without frozen clusters
+        rng = np.random.default_rng(97)
+        for _ in range(100):
+            k = int(rng.integers(2, 2000))
+            replica = np.sort(rng.integers(0, 4, k))
+            proposals = rng.normal(0.0, 1.0, k)
+            merge = rng.random(k - 1) < 0.3
+            frozen = np.where(rng.random(k) < 0.1, proposals, np.nan)
+            for fr in (np.full(k, np.nan), frozen):
+                self._assert_same(
+                    _resolve_clusters(proposals, fr, merge, replica),
+                    _reference_resolve_clusters(proposals, fr, merge, replica),
+                )
 
 
 class TestObservedMasses:
