@@ -388,7 +388,7 @@ def _duality_configs(settings):
     s1, s2 = settings["vacancy_s1"], settings["vacancy_s2"]
     _require("scbm-duality", "vacancy_s2", s1 < s2 < math.inf, "a finite time above vacancy_s1")
     params = _params_from(settings)
-    _require("scbm-duality", "gamma", params.gamma > 0, "gamma > 0: the checks sample the branching process")
+    _require("scbm-duality", "gamma", params.gamma > 0, "gamma > 0: the checks read the branching law")
     for lo, hi in (
         ("laplace_mu_lo", "laplace_mu_hi"),
         ("laplace_pair_lo", "laplace_pair_hi"),
@@ -475,7 +475,7 @@ def _run_scbm_duality(settings, seed, threads):
                 "",
                 control.z_score,
                 "",
-                "detected" if detected else "missed",
+                ("detected" if detected else "missed") + (";approx" if control.approx else ""),
             )
         )
 

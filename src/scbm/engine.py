@@ -6,17 +6,18 @@ cluster of a :class:`~scbm.flow.ReplicaFlow`: it has a position that moves as
 a coalescing Brownian motion (optionally absorbed at barriers) and a mass.
 Clusters that meet merge for good and their masses add; by the branching
 property the merged mass goes on as one branching process, so the law of the
-total mass does not see the coalescence.  A cluster whose mass hits zero is
-gone.  Masses are sampled when a reader observes them, never per step (see
-:class:`~scbm.flow.ReplicaFlow`).
+total mass does not see the coalescence.  Positions never depend on masses,
+so the flow carries only the start mass of each cluster's members, and the
+readers integrate the branching out given the flow: a cluster of start mass
+m is extinct by time t with probability exp(-m u_t(inf)).
 
 :func:`init_ensemble` builds many independent copies of X at time 0 on a
 lattice.  The excursions born in a basin B, taken together, have at time t
 the law of one branching transition from mu(B); so each lattice cell starts
-as one cluster carrying the measure of its cell, pending from time 0.  The
-only approximation is the spatial lattice, which shrinks with the spacing;
-the total-mass law is exact at every spacing.  Interval edges are lattice
-points, so barrier hits of the extremal paths are not displaced.
+as one cluster carrying the measure of its cell.  The only approximation is
+the spatial lattice, which shrinks with the spacing; the total-mass law is
+exact at every spacing.  Interval edges are lattice points, so barrier hits
+of the extremal paths are not displaced.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import BranchingParams
 from .flow import FlowBoundary, ReplicaFlow
 
 __all__ = ["MeasureSpec", "init_ensemble"]
@@ -73,25 +73,20 @@ def init_ensemble(
     mu: MeasureSpec,
     spacing: float,
     count: int,
-    params: BranchingParams | None = None,
     boundary: FlowBoundary | None = None,
 ) -> ReplicaFlow:
     """``count`` independent populations started at time 0 from ``mu`` on a lattice, as one replica flow.
 
     Every interval contributes equally spaced points, both edges included, at
-    most ``spacing`` apart; point atoms pass through.  With ``params`` each
-    point carries the measure of its own cell (h inside an interval, h/2 at
-    its edges, the atom's mass for an atom), pending from time 0 and sampled
-    by :meth:`~scbm.flow.ReplicaFlow.observe`.  Without ``params`` (no
-    branching) the flow has no masses.
+    most ``spacing`` apart; point atoms pass through.  Each point carries the
+    measure of its own cell as its ``mass``: h inside an interval, h/2 at its
+    edges, the atom's mass for an atom.
     """
     if not (0 < spacing and 0 < spacing * spacing < math.inf):  # the first step lasts spacing**2 (harness._lattice_grid)
         raise ValueError("spacing must be positive with a positive finite square")
     parts = [np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / spacing)) + 1)) for lo, hi in mu.intervals]
     points = np.concatenate(parts + [np.array([loc for loc, _ in mu.atoms], dtype=float)])
-    masses = None
-    if params is not None:
-        cells = [np.diff(p, prepend=p[0]) / 2 + np.diff(p, append=p[-1]) / 2 for p in parts]
-        masses = np.tile(np.concatenate(cells + [np.array([m for _, m in mu.atoms], dtype=float)]), count)
+    cells = [np.diff(p, prepend=p[0]) / 2 + np.diff(p, append=p[-1]) / 2 for p in parts]
+    masses = np.tile(np.concatenate(cells + [np.array([m for _, m in mu.atoms], dtype=float)]), count)
     replica = np.repeat(np.arange(count), len(points))
-    return ReplicaFlow(np.tile(points, count), replica, count, boundary=boundary, masses=masses, params=params)
+    return ReplicaFlow(np.tile(points, count), replica, count, boundary=boundary, masses=masses)

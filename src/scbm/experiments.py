@@ -7,6 +7,7 @@ discrete series ``4 g(t_{n+1}) u_{t_n}(inf)`` along the exponential time
 ladder, the tripling-time sequences with their interval invariants, the
 closed-form survival probability of one annular block, and finite-horizon
 window-survival ensembles of the full measure-valued process.
+Survival ensembles draw the flow alone and report P(window charged | flow).
 """
 
 from __future__ import annotations
@@ -512,31 +513,31 @@ def _survival_grid(cfg: SurvivalConfig) -> np.ndarray:
 
 
 def _survival_batch(cfg: SurvivalConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Per-replica rows: one survival indicator per horizon plus an alive flag."""
+    """Per replica: 1 - exp(-u_h(inf) M_h) per horizon h, M_h the start mass in the window, and an alive flag."""
     mu = MeasureSpec(intervals=((-cfg.truncation, cfg.truncation),) if cfg.truncation > 0 else ())
     grid = _survival_grid(cfg)
-    system = init_ensemble(mu, cfg.spacing, count, cfg.params)
+    system = init_ensemble(mu, cfg.spacing, count)
     horizon_set = {float(h): i for i, h in enumerate(cfg.horizons)}
     out = np.zeros((count, len(cfg.horizons) + 1))
     for k, dt in enumerate(np.diff(grid)):
         system.step(float(dt), rng)
         t = float(grid[k + 1])
         if t in horizon_set:
-            system.observe(rng)
             radius = float(cfg.g(t))
-            out[:, horizon_set[t]] = system.charged(-radius, radius)
-    system.observe(rng)
-    out[:, -1] = np.bincount(system.replica, minlength=count) > 0
+            out[:, horizon_set[t]] = -np.expm1(-cumulant_limit(cfg.params, t) * system.window_mass(-radius, radius))
+    total = np.bincount(system.replica, weights=system.mass, minlength=count)
+    out[:, -1] = sample_transition(cfg.params, float(cfg.horizons[-1]), total, rng) > 0
     return out
 
 
 def survival_experiment(cfg: SurvivalConfig, seed: int, threads: int = 1) -> SurvivalResult:
     """Window-survival fractions per horizon over a replica ensemble.
 
+    Each fraction averages conditional probabilities given the flow.
     Deterministic given (config, seed): replica batch i uses the stream
-    (seed, 0, i) and the growth function only enters at read-out time, so
-    ensembles with shared seeds are driven by identical paths (pointwise
-    window monotonicity transfers to the reported fractions).
+    (seed, 0, i) and the growth function and branching law only enter at
+    read-out time, so ensembles with shared seeds are driven by identical
+    paths (pointwise window monotonicity transfers to the reported fractions).
     """
     cfg.g.validate(0.0, float(cfg.horizons[-1]))
     table = _run_batches(partial(_survival_batch, cfg), cfg.replicas, seed, 0, threads, cfg.batch)

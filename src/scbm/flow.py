@@ -21,6 +21,9 @@ array only under one; without it every cluster is free and the step skips
 the frozen bookkeeping.  At the 10^2-10^3 clusters per call that the checks
 step, a step's cost is mostly the fixed cost of its numpy calls rather than
 work per cluster, which is why the free path makes as few of them as it can.
+
+Clusters may carry one additive weight, the start mass of their members; the
+flow never samples branching, and its readers integrate it out.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .branching import BranchingParams, sample_transition
 
 __all__ = [
     "FlowBoundary",
@@ -221,18 +222,12 @@ class ReplicaFlow:
     :func:`step_positions` call serves all replicas with their own barriers.
     Starts that coincide within a replica are one cluster from the start, and
     an absorbing start on a barrier is frozen there.  Two read-outs are
-    optional: ``mass`` (cluster masses under ``params``) and ``member`` (the
-    cluster of each start, for path read-out; only for systems without
-    masses).
+    optional: ``mass`` (the start masses of each cluster's members, added on
+    every merge) and ``member`` (the cluster of each start, for path
+    read-out; only for systems whose clusters are never dropped).
 
-    Masses are sampled at observation time.  Positions never depend on
-    masses, and by the branching property the mass of a merged cluster at a
-    later time is one transition from the sum of its members' masses, so
-    :meth:`step` only moves positions, adds the masses of merged clusters and
-    accumulates the elapsed time; :meth:`observe` then makes one branching
-    transition over that time and drops dead clusters.  Call it right before
-    reading ``mass`` or :meth:`charged`.  Until then clusters that have died
-    since the last observation ride along in the flow.
+    Given the flow, each start is an independent branching process, so a
+    cluster's mass at time t is one transition over t from ``mass``.
     """
 
     def __init__(
@@ -242,7 +237,6 @@ class ReplicaFlow:
         count: int,
         boundary: FlowBoundary | None = None,
         masses=None,
-        params: BranchingParams | None = None,
         members: bool = False,
     ):
         pos = np.asarray(positions, dtype=float)
@@ -256,7 +250,6 @@ class ReplicaFlow:
         cluster = np.cumsum(first) - 1
         self.count = count
         self.boundary = boundary
-        self.params = params
         self.pos = pos[first]
         self.replica = rep[first]
         self.frozen = np.full(len(self.pos), np.nan)
@@ -264,7 +257,6 @@ class ReplicaFlow:
             on_bar = np.isin(self.pos, boundary.points)
             self.frozen[on_bar] = self.pos[on_bar]
         self.mass = None
-        self.pending = 0.0  # time elapsed since the masses were last sampled
         if masses is not None:
             self.mass = np.bincount(cluster, weights=np.asarray(masses, dtype=float)[order], minlength=len(self.pos))
         self.member = None
@@ -273,9 +265,7 @@ class ReplicaFlow:
             self.member[order] = cluster
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
-        """Move the clusters over ``dt``; merged clusters add their (unsampled) masses."""
-        if self.mass is not None:
-            self.pending += dt
+        """Move the clusters over ``dt``; merged clusters add their masses."""
         if not len(self.pos):
             return
         self.pos, self.frozen, ids, self.replica = step_positions(
@@ -286,24 +276,22 @@ class ReplicaFlow:
         if self.mass is not None:
             self.mass = np.bincount(ids, weights=self.mass)
 
-    def observe(self, rng: np.random.Generator) -> None:
-        """Sample the masses over the time stepped since the last observation; drop dead clusters."""
-        if self.mass is None or self.pending == 0.0:
-            return
-        if self.params.gamma > 0 and len(self.mass):
-            self.mass = sample_transition(self.params, self.pending, self.mass, rng)
-        self.pending = 0.0
-        keep = self.mass > 0
-        self.pos, self.frozen, self.replica = self.pos[keep], self.frozen[keep], self.replica[keep]
-        self.mass = self.mass[keep]
-
     def charged(self, lo: float, hi: float) -> np.ndarray:
-        """Per replica: whether any cluster sits in the closed window [lo, hi].
-
-        With masses this needs a prior :meth:`observe`: a cluster whose mass
-        is pending may be dead.
-        """
-        if self.pending:
-            raise RuntimeError("masses are pending: call observe() before charged()")
+        """Per replica: whether any cluster sits in the closed window [lo, hi]."""
         inside = (self.pos >= lo) & (self.pos <= hi)
         return np.bincount(self.replica[inside], minlength=self.count) > 0
+
+    def window_mass(self, lo: float, hi: float, drop: bool = False) -> np.ndarray:
+        """Per replica: the ``mass`` of the clusters in the closed window [lo, hi]; ``drop`` removes those clusters.
+
+        Dropping keeps the law of the rest: a subset of coalescing paths is
+        again a coalescing system.
+        """
+        inside = (self.pos >= lo) & (self.pos <= hi)
+        seen = np.bincount(self.replica[inside], weights=self.mass[inside], minlength=self.count)
+        if drop:
+            keep = ~inside
+            self.pos, self.frozen, self.replica, self.mass = (
+                self.pos[keep], self.frozen[keep], self.replica[keep], self.mass[keep]
+            )
+        return seen

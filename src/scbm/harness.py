@@ -17,8 +17,9 @@ not the law of a replica (it does change which random numbers a replica draws).
 
 Every measure-valued side starts at time 0 from :func:`~scbm.engine.init_ensemble`:
 one cluster per lattice cell of width ``spacing``, carrying the measure of its
-cell, stepped on :func:`_lattice_grid`.  The checks without branching start
-from the same lattice without masses.
+cell, stepped on :func:`_lattice_grid`.  The sides with branching draw no
+branching numbers: each replica returns the conditional expectation of its
+indicator given the flow (Rao-Blackwell), so the mean keeps its law.
 
 The closed forms read the normal law through ``math.erf`` and ``math.erfc``,
 so importing the harness loads no scipy.
@@ -222,11 +223,11 @@ def _level_paths(starts, count: int, t: float, dt: float, rng, boundary: FlowBou
 class LaplaceDualityConfig:
     """Two independent pathways for the same Laplace functional.
 
-    Left: evolve the measure-valued process to ``t`` and average
-    exp(-<X_t, h0>).  Right: evolve the level paths, push the evolved step
-    function through the cumulant, integrate against the initial measure and
-    average the exponential.  ``rhs_gamma_scale`` perturbs the right side's
-    branching rate (negative control).
+    Left: evolve the flow of the measure-valued process to ``t`` and average
+    E[exp(-<X_t, h0>) | flow].  Right: evolve the level paths, push the
+    evolved step function through the cumulant, integrate against the initial
+    measure and average the exponential.  ``rhs_gamma_scale`` perturbs the
+    right side's branching rate (negative control).
     """
 
     params: BranchingParams
@@ -244,13 +245,12 @@ class LaplaceDualityConfig:
 
 
 def _laplace_lhs_batch(cfg, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None) -> np.ndarray:
-    """exp(-<X_t, h0>) per replica; ``cfg`` is a Laplace or reflected Laplace config."""
-    system = init_ensemble(cfg.mu, cfg.spacing, count, cfg.params, boundary=boundary)
+    """E[exp(-<X_t, h0>) | flow] = exp(-sum_c M_c u_t(h0(x_c))) per replica; ``cfg`` is a (reflected) Laplace config."""
+    system = init_ensemble(cfg.mu, cfg.spacing, count, boundary=boundary)
     for dt in np.diff(_lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)):
         system.step(float(dt), rng)
-    system.observe(rng)
-    h0 = _levels(system.pos, cfg.pairs, cfg.coefficients)
-    return np.exp(-np.bincount(system.replica, weights=system.mass * h0, minlength=count))
+    u = cumulant(cfg.params, cfg.t, _levels(system.pos, cfg.pairs, cfg.coefficients))
+    return np.exp(-np.bincount(system.replica, weights=system.mass * u, minlength=count))
 
 
 def _laplace_rhs_batch(
@@ -347,10 +347,10 @@ class OccupationDualityConfig:
     Without branching the two sides agree exactly and the left side runs the
     absorbed system (ever occupying equals being absorbed by t, which the
     bridge-corrected hits capture without grid bias).  With branching the
-    relation is an inequality and the left side is the plain process with the
-    grid occupation indicator.  Without branching only the two edge points of
-    the measure can reach the window, so that law does not depend on
-    ``spacing``.
+    relation is an inequality and the left side reads the plain process at
+    every grid time, through its vacancy probability given the flow.  Without
+    branching only the two edge points of the measure can reach the window,
+    so that law does not depend on ``spacing``.
     """
 
     params: BranchingParams
@@ -369,24 +369,36 @@ class OccupationDualityConfig:
         )
 
 
-def _never_charged(flow: ReplicaFlow, grid: np.ndarray, window: tuple[float, float], rng) -> np.ndarray:
-    """Per replica: 1.0 when the window holds no live cluster at any grid time."""
-    charged = flow.charged(*window)
-    for dt in np.diff(grid):
-        flow.step(float(dt), rng)
-        flow.observe(rng)
-        charged |= flow.charged(*window)
-    return (~charged).astype(float)
+def _never_charged(system: ReplicaFlow, grid, reads, window, params: BranchingParams, rng) -> np.ndarray:
+    """Per replica: P(the window holds no live cluster at any read time | flow) = exp(-exposure).
+
+    ``system`` steps along ``grid`` and is read where ``reads`` is set.  A start dead at its first read in the window
+    stays dead, so at a read at time t the clusters in the window add mass * u_t(inf) to the exposure and leave.
+    """
+    exposure = np.zeros(system.count)
+    for k, t in enumerate(grid):
+        if k:
+            system.step(float(t - grid[k - 1]), rng)
+        if reads[k]:
+            seen = system.window_mass(*window, drop=True)
+            hit = seen > 0  # a replica with nothing in the window adds 0, never inf * 0
+            exposure[hit] += seen[hit] * (math.inf if t == 0 else cumulant_limit(params, float(t)))
+    return np.exp(-exposure)
 
 
 def _occupation_lhs_no_branching(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
     flow = init_ensemble(cfg.measure(), cfg.spacing, count, boundary=FlowBoundary("absorbing", cfg.window))
-    return _never_charged(flow, _uniform_grid(cfg.t, cfg.dt), cfg.window, rng)
+    charged = flow.charged(*cfg.window)
+    for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
+        flow.step(float(dt), rng)
+        charged |= flow.charged(*cfg.window)
+    return (~charged).astype(float)
 
 
 def _occupation_lhs_branch_batch(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    system = init_ensemble(cfg.measure(), cfg.spacing, count, cfg.params)
-    return _never_charged(system, _lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt), cfg.window, rng)
+    grid = _lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)
+    system = init_ensemble(cfg.measure(), cfg.spacing, count)
+    return _never_charged(system, grid, np.ones(len(grid), dtype=bool), cfg.window, cfg.params, rng)
 
 
 def occupation_duality_check(cfg: OccupationDualityConfig, seed: int, threads: int = 1) -> ComparisonReport:
@@ -424,15 +436,10 @@ class VacancyBoundConfig:
 
 
 def _vacancy_lhs_batch(cfg: VacancyBoundConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    system = init_ensemble(cfg.mu, cfg.spacing, count, cfg.params)
     grid = _lattice_grid(cfg.spacing, cfg.s1, cfg.s2, cfg.dt)
-    charged = np.zeros(count, dtype=bool)
-    for k, dt in enumerate(np.diff(grid)):
-        system.step(float(dt), rng)
-        if cfg.s1 < grid[k + 1] <= cfg.s2:
-            system.observe(rng)
-            charged |= system.charged(-cfg.a, cfg.a)
-    return (~charged).astype(float)
+    system = init_ensemble(cfg.mu, cfg.spacing, count)
+    reads = (grid > cfg.s1) & (grid <= cfg.s2)
+    return _never_charged(system, grid, reads, (-cfg.a, cfg.a), cfg.params, rng)
 
 
 def _vacancy_rhs_batch(cfg: VacancyBoundConfig, rng: np.random.Generator, count: int) -> np.ndarray:

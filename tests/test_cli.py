@@ -182,6 +182,29 @@ class TestCliBetaHalf:
             assert "approx" in fields[8].split(";")
 
 
+    def test_scbm_duality_runs_with_branching_rows_flagged_approx(self, tmp_path):
+        # the replica counts of the perfbench duality workload
+        cfg = _write(
+            tmp_path,
+            "[run]\nseed = 5\n[scbm-duality]\nbeta = 0.5\nlaplace_n = 200\ncontrol_n = 1000\ncontrol_scale = 2\n"
+            "absorbing_n = 100\noccupation_n = 100\nvacancy_n = 200\nsmoke_n = 20\n",
+        )
+        out = tmp_path / "out"
+        assert main(["scbm-duality", "--config", cfg, "--out", str(out)]) in (0, 3)
+        rows = [row.split(",") for row in (out / "scbm-duality.csv").read_text().splitlines()[1:]]
+        flags = {fields[3]: fields[8].split(";") for fields in rows}
+        branching = (
+            "laplace_duality",
+            "laplace_negative_control",
+            "occupation_duality_bound",
+            "interval_vacancy_bound",
+            "reflected_laplace_smoke",
+        )
+        for name in branching:
+            assert "approx" in flags[name], name
+        assert set(flags) == set(branching) | {"absorbing_extinction", "absorbing_truncation_bound", "occupation_duality_equality"}
+
+
 class TestCliErrors:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[survival]\nwidgets = 3\n")

@@ -3,15 +3,13 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from scbm.branching import BranchingParams, cumulant, extinction_prob, sample_transition
+from scbm.branching import BranchingParams, cumulant
 from scbm.engine import MeasureSpec, init_ensemble
 from scbm.flow import FlowBoundary, ReplicaFlow, _resolve_clusters
-from scbm.harness import _lattice_grid, _mc_batched
+from scbm.harness import LaplaceDualityConfig, ReflectedLaplaceConfig, _laplace_lhs_batch, _lattice_grid, _mc_batched
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
-P0 = BranchingParams(gamma=0.0)
 
 
 class TestMeasureSpec:
@@ -44,7 +42,7 @@ class TestInitAtoms:
     """Populations built by ``init_ensemble``: one lattice cluster per cell, the same in every replica."""
 
     def test_empty_measure(self):
-        flow = init_ensemble(MeasureSpec(), 0.05, 5, P21)
+        flow = init_ensemble(MeasureSpec(), 0.05, 5)
         assert len(flow.pos) == 0 and len(flow.mass) == 0
         assert not np.any(flow.charged(-math.inf, math.inf))
 
@@ -52,17 +50,16 @@ class TestInitAtoms:
         # the cell width inside an interval, half of it at the edges, the atom's
         # own mass, and an atom on a lattice point adds to that point's cell
         mu = MeasureSpec(intervals=((0.0, 0.4), (1.0, 2.0)), atoms=((-1.0, 0.3), (2.0, 0.25)))
-        flow = init_ensemble(mu, 0.15, 3, P21)
+        flow = init_ensemble(mu, 0.15, 3)
         h, k = 0.4 / 3, 1.0 / 7  # widths at most 0.15 that tile each interval
         first = flow.replica == 0
         assert flow.pos[first] == pytest.approx([-1.0, 0.0, h, 2 * h, 0.4] + list(1.0 + k * np.arange(8)))
         assert flow.mass[first] == pytest.approx([0.3, h / 2, h, h, h / 2, k / 2] + [k] * 6 + [k / 2 + 0.25])
         assert np.bincount(flow.replica, weights=flow.mass) == pytest.approx([mu.total_mass] * 3, rel=1e-12)
         assert np.array_equal(flow.pos, np.tile(flow.pos[first], 3))
-        assert flow.pending == 0.0
 
     def test_masses_positive_and_sorted_births(self):
-        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.05, 50, P21)
+        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.05, 50)
         assert len(flow.pos) == 50 * 41
         assert np.all(flow.mass > 0)
         assert np.all(np.diff(flow.replica) >= 0)
@@ -73,13 +70,13 @@ class TestInitAtoms:
     @pytest.mark.parametrize("spacing", [0.0, -0.1, math.inf, math.nan, 1e-300, 1e200])
     def test_bad_spacing(self, spacing):
         with pytest.raises(ValueError, match="spacing"):
-            init_ensemble(MeasureSpec(intervals=((0.0, 1.0),)), spacing, 4, P21)
+            init_ensemble(MeasureSpec(intervals=((0.0, 1.0),)), spacing, 4)
 
-    def test_without_params_no_masses(self):
-        # no branching: positions only; an absorbing barrier on an edge freezes that start
+    def test_absorbing_start_on_barrier_frozen(self):
+        # an absorbing barrier on an edge freezes that start, which keeps its cell mass
         boundary = FlowBoundary("absorbing", (1.0, 3.0))
         flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.5, 2, boundary=boundary)
-        assert flow.mass is None
+        assert flow.mass.tolist() == [0.25, 0.5, 0.5, 0.5, 0.25] * 2
         assert np.array_equal(flow.pos, np.tile([-1.0, -0.5, 0.0, 0.5, 1.0], 2))
         assert np.array_equal(np.isnan(flow.frozen), flow.pos != 1.0)
 
@@ -92,11 +89,9 @@ class TestAtomize:
         assert np.all(np.diff(locs) > 0)
 
 
-def _single_clusters(count, masses=1.0, boundary=None, params=P21):
+def _single_clusters(count, masses=1.0, boundary=None):
     """``count`` replicas of one cluster at 0 carrying ``masses``."""
-    return ReplicaFlow(
-        np.zeros(count), np.arange(count), count, boundary=boundary, masses=np.full(count, masses), params=params
-    )
+    return ReplicaFlow(np.zeros(count), np.arange(count), count, boundary=boundary, masses=np.full(count, masses))
 
 
 def _totals(flow):
@@ -104,82 +99,68 @@ def _totals(flow):
 
 
 class TestEvolve:
-    """Masses riding the flow, observed along a grid, over many replicas in one system."""
-
-    def test_single_atom_mass_law_matches_branching_path(self):
-        # one unit atom observed at 0.4 and 0.8: extinct with probability
-        # exp(-u_0.8(inf)), and distributed as one transition over 0.8
-        rng = np.random.default_rng(13)
-        n = 10_000
-        flow = _single_clusters(n)
-        for dt in (0.4, 0.4):
-            flow.step(dt, rng)
-            flow.observe(rng)
-        finals = _totals(flow)
-        direct = sample_transition(P21, 0.8, 1.0, rng, size=n)
-        pz = np.mean(finals == 0)
-        target = extinction_prob(P21, 0.8, 1.0)
-        assert abs(pz - target) <= 3 * math.sqrt(target * (1 - target) / n)
-        assert stats.ks_2samp(finals[finals > 0], direct[direct > 0]).pvalue > 0.01
+    """Start masses riding the flow over many replicas in one system, and the readers that integrate the branching."""
 
     def test_atom_count_nonincreasing(self):
         rng = np.random.default_rng(17)
         count = 50
-        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.05, count, P21)
+        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.05, count)
         before = np.bincount(flow.replica, minlength=count)
         for dt in np.diff(np.linspace(0.0, 1.0, 20)):
             flow.step(float(dt), rng)
-            flow.observe(rng)
             after = np.bincount(flow.replica, minlength=count)
             assert np.all(after <= before)
             before = after
 
     def test_total_mass_laplace_identity(self):
-        # coalescence cannot change the total-mass law: E exp(-z M_t) =
-        # exp(-mu(domain) * u_t(z)) regardless of the flow
+        # coalescence cannot change the total-mass law: every replica keeps
+        # start mass mu(R) = 2, so the Laplace reader of h = z on the support
+        # gives exp(-mu(R) * u_t(z)) for every flow
         rng = np.random.default_rng(19)
-        mu = MeasureSpec(intervals=((-1.0, 1.0),))
-        t, z, n = 0.5, 1.0, 4000
-        grid = np.concatenate(([0.0], np.geomspace(0.01, 0.1, 12), np.linspace(0.12, t, 12)))
-        flow = init_ensemble(mu, 0.05, n, P21)
-        for dt in np.diff(grid):
-            flow.step(float(dt), rng)
-        flow.observe(rng)
-        vals = np.exp(-z * _totals(flow))
-        target = math.exp(-2.0 * cumulant(P21, t, z))
-        se = vals.std(ddof=1) / math.sqrt(n)
-        assert abs(vals.mean() - target) <= 3 * se
+        t, z = 0.5, 1.0
+        cfg = LaplaceDualityConfig(
+            params=P21, t=t, mu=MeasureSpec(intervals=((-1.0, 1.0),)), pairs=((-50.0, 50.0),), coefficients=(z,), n=2
+        )
+        vals = _laplace_lhs_batch(cfg, rng, 400)
+        assert vals == pytest.approx(np.full(400, math.exp(-2.0 * cumulant(P21, t, z))), rel=1e-12)
 
     def test_gamma_zero_mass_constant_under_merges(self):
         rng = np.random.default_rng(23)
-        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.1, 1, P0)
+        flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.1, 1)
         starts = len(flow.pos)
         for dt in np.diff(np.linspace(0.0, 2.0, 40)):
             flow.step(float(dt), rng)
-            flow.observe(rng)
             assert flow.mass.sum() == pytest.approx(2.0, rel=1e-12)
         assert len(flow.mass) < starts  # merges happened
 
     def test_absorbed_atoms_keep_branching(self):
+        # absorbed clusters stay on the barrier with their mass, and the
+        # smoke reader reads that mass through the branching law there
         rng = np.random.default_rng(29)
         count = 200
         flow = _single_clusters(count, boundary=FlowBoundary("absorbing", (0.0,)))
         for dt in (0.5, 0.5):
             flow.step(dt, rng)
-            flow.observe(rng)
             assert np.all(flow.pos == 0.0)
-        totals = _totals(flow)
-        assert np.sum((totals != 0.0) & (totals != 1.0)) > 100
+        assert np.all(_totals(flow) == 1.0)
+        cfg = ReflectedLaplaceConfig(
+            params=P21,
+            barriers=(0.0, 5.0),
+            t=1.0,
+            mu=MeasureSpec(atoms=((0.0, 1.0),)),
+            pairs=((-1.0, 1.0),),
+            coefficients=(2.0,),
+            n=2,
+        )
+        vals = _laplace_lhs_batch(cfg, rng, count, boundary=FlowBoundary("absorbing", cfg.barriers))
+        assert vals == pytest.approx(np.full(count, math.exp(-cumulant(P21, 1.0, 2.0))), rel=1e-12)
 
     def test_ordering_preserved(self):
         rng = np.random.default_rng(31)
         count = 50
-        flow = ReplicaFlow(
-            np.tile([-1.0, 0.0, 2.0], count), np.repeat(np.arange(count), 3), count, masses=np.ones(3 * count), params=P21
-        )
+        flow = ReplicaFlow(np.tile([-1.0, 0.0, 2.0], count), np.repeat(np.arange(count), 3), count, masses=np.ones(3 * count))
         for dt in np.diff(np.linspace(0.0, 1.0, 20)):
             flow.step(float(dt), rng)
-            flow.observe(rng)
             same = flow.replica[1:] == flow.replica[:-1]
             assert np.all(np.diff(flow.pos)[same] > 0)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from scbm.branching import BranchingParams, cumulant, cumulant_limit
+from scbm.branching import BranchingParams, cumulant
 from scbm.engine import MeasureSpec
 from scbm.flow import FlowBoundary, ReplicaFlow, _region_ids, _resolve_clusters, step_positions
 from scbm.harness import LaplaceDualityConfig, ReflectedLaplaceConfig, _level_integrals, _levels
@@ -336,28 +336,7 @@ class TestStepMatchesReference:
 
 
 class TestObservedMasses:
-    """Masses ride the flow unsampled and make one transition per observation."""
-
-    def test_extinction_and_mean_after_many_steps(self):
-        # three clusters of total mass x per replica, stepped k times, observed
-        # once: by additivity the replica total is one time-T transition from x
-        rng = np.random.default_rng(71)
-        count, k, dt, x = 20_000, 10, 0.05, 1.0
-        flow = ReplicaFlow(
-            np.tile([-0.5, 0.0, 0.5], count),
-            np.repeat(np.arange(count), 3),
-            count,
-            masses=np.tile([0.2, 0.3, 0.5], count),
-            params=P21,
-        )
-        for _ in range(k):
-            flow.step(dt, rng)
-        flow.observe(rng)
-        totals = np.bincount(flow.replica, weights=flow.mass, minlength=count)
-        dead = np.mean(totals == 0.0)
-        target = math.exp(-x * cumulant_limit(P21, k * dt))
-        assert abs(dead - target) <= 3 * math.sqrt(target * (1 - target) / count)
-        assert abs(totals.mean() - x) <= 3 * totals.std(ddof=1) / math.sqrt(count)
+    """The masses the readers observe: the start mass of each cluster's members, added on every merge."""
 
     def test_masses_add_across_merges(self):
         # two clusters a hair apart merge in one long step with near certainty
@@ -368,7 +347,6 @@ class TestObservedMasses:
             np.repeat(np.arange(count), 2),
             count,
             masses=np.tile([0.3, 0.7], count),
-            params=P21,
         )
         flow.step(1.0, rng)
         merged = np.bincount(flow.replica, minlength=count) == 1
@@ -376,38 +354,14 @@ class TestObservedMasses:
         assert np.allclose(flow.mass[merged[flow.replica]], 1.0)
         assert np.allclose(np.bincount(flow.replica, weights=flow.mass, minlength=count), 1.0)
 
-    def test_dead_clusters_dropped_only_by_observe(self):
-        # small masses over a long time: nearly every cluster dies, but only
-        # the observation removes them
-        rng = np.random.default_rng(79)
-        starts = np.linspace(-20.0, 20.0, 41)
-        flow = ReplicaFlow(starts, np.zeros(41, dtype=np.int64), 1, masses=np.full(41, 0.01), params=P21)
-        for _ in range(20):
-            before = len(flow.pos)
-            flow.step(0.5, rng)
-            assert np.all(flow.mass > 0)
-            assert flow.mass.sum() == pytest.approx(0.41)
-            assert len(flow.pos) <= before
-        alive = len(flow.pos)
-        flow.observe(rng)
-        assert len(flow.pos) < alive
-        assert len(flow.pos) == len(flow.mass) == len(flow.replica) == len(flow.frozen)
-        assert np.all(flow.mass > 0)
-        assert flow.pending == 0.0
-
-    def test_charged_raises_while_masses_pending(self):
-        rng = np.random.default_rng(83)
-        flow = ReplicaFlow([0.0, 1.0], [0, 0], 1, masses=[1.0, 1.0], params=P21)
-        flow.charged(-1.0, 1.0)
-        flow.step(0.1, rng)
-        with pytest.raises(RuntimeError, match="observe"):
-            flow.charged(-1.0, 1.0)
-        flow.observe(rng)
-        flow.charged(-1.0, 1.0)
-        # without masses nothing is pending
-        paths = ReplicaFlow([0.0, 1.0], [0, 0], 1)
-        paths.step(0.1, rng)
-        paths.charged(-1.0, 1.0)
+    def test_window_mass_reads_and_drops(self):
+        flow = ReplicaFlow([-2.0, 0.0, 1.0, 0.5, 3.0], [0, 0, 0, 2, 2], 3, masses=[0.1, 0.2, 0.4, 0.8, 1.6])
+        assert flow.window_mass(0.0, 1.0).tolist() == pytest.approx([0.6, 0.0, 0.8])
+        assert len(flow.pos) == 5  # reading alone keeps every cluster
+        assert flow.window_mass(0.0, 1.0, drop=True).tolist() == pytest.approx([0.6, 0.0, 0.8])
+        assert flow.pos.tolist() == [-2.0, 3.0] and flow.replica.tolist() == [0, 2]
+        assert flow.mass.tolist() == [0.1, 1.6] and len(flow.frozen) == 2
+        assert flow.window_mass(0.0, 1.0).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestStepFunction:

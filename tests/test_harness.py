@@ -1,12 +1,14 @@
 import math
+import time
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from scbm.branching import BranchingParams, cumulant, cumulant_limit
-from scbm.engine import MeasureSpec
+from scbm.branching import BranchingParams, cumulant, cumulant_limit, sample_transition
+from scbm.engine import MeasureSpec, init_ensemble
+from scbm.flow import ReplicaFlow
 from scbm.harness import (
     AbsorbingExtinctionConfig,
     LaplaceDualityConfig,
@@ -15,9 +17,13 @@ from scbm.harness import (
     ReflectedLaplaceConfig,
     VacancyBoundConfig,
     _absorbing_lhs,
+    _laplace_lhs_batch,
     _laplace_rhs_batch,
+    _lattice_grid,
     _level_paths,
+    _levels,
     _mc_batched,
+    _never_charged,
     _report,
     _uniform_grid,
     _vacancy_rhs_batch,
@@ -32,6 +38,7 @@ from scbm.harness import (
 )
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
+P_HALF = BranchingParams(gamma=2.0, beta=0.5)
 
 LAPLACE_BASE = LaplaceDualityConfig(
     params=P21,
@@ -364,3 +371,109 @@ class TestReflectedSmoke:
         )
         with pytest.raises(ValueError):
             reflected_laplace_smoke(cfg, seed=0)
+
+
+class _ScriptedFlow(ReplicaFlow):
+    """A flow whose k-th step puts the clusters still in it at ``moves[k]``."""
+
+    def __init__(self, moves, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.moves = iter(moves)
+
+    def step(self, dt, rng):
+        self.pos = np.asarray(next(self.moves), dtype=float)
+
+
+class _CellFlow(ReplicaFlow):
+    """A flow that records which start cells the exposure reader drops at each read, keeping the member map."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, members=True, **kwargs)
+        self.dropped = []
+
+    def window_mass(self, lo, hi, drop=False):
+        inside = (self.pos >= lo) & (self.pos <= hi)
+        alive = self.member >= 0
+        cells = alive & inside[np.maximum(self.member, 0)]
+        self.dropped.append(np.flatnonzero(cells))
+        seen = super().window_mass(lo, hi, drop)
+        renumber = np.cumsum(~inside) - 1
+        self.member = np.where(alive & ~cells, renumber[np.maximum(self.member, 0)], -1)
+        return seen
+
+    def step(self, dt, rng):
+        gone = self.member < 0
+        self.member[gone] = 0  # any live index: step maps it, and it is reset below
+        super().step(dt, rng)
+        self.member[gone] = -1
+
+
+class TestConditionalReaders:
+    """The readers return the conditional expectation of the old sampled indicator given the flow."""
+
+    def test_exposure_by_hand(self):
+        # replica 0: clusters of start mass 0.3 and 0.7 enter [-1, 1] at the
+        # reads at 0.5 and 2 (the read at 1.5 is skipped); replica 1 never does
+        moves = ([0.0, 9.0, -7.0], [0.5, -7.0], [0.5, -7.0])
+        flow = _ScriptedFlow(moves, [5.0, 9.0, -7.0], [0, 0, 1], 2, masses=[0.3, 0.7, 2.0])
+        grid = np.array([0.0, 0.5, 1.5, 2.0])
+        got = _never_charged(flow, grid, np.array([True, True, False, True]), (-1.0, 1.0), P_HALF, None)
+        exposure = 0.3 * cumulant_limit(P_HALF, 0.5) + 0.7 * cumulant_limit(P_HALF, 2.0)
+        assert got.tolist() == np.exp(-np.array([exposure, 0.0])).tolist()
+        assert len(flow.pos) == 1  # both read clusters left the flow
+
+    def test_cluster_in_window_at_start_gives_zero(self):
+        flow = ReplicaFlow([0.0, 5.0], [0, 1], 2, masses=[0.1, 0.1])
+        got = _never_charged(flow, np.array([0.0, 0.1]), np.ones(2, dtype=bool), (-1.0, 1.0), P21, np.random.default_rng(3))
+        assert got[0] == 0.0 and not np.isnan(got[1])
+
+    def test_exposure_matches_sampled_cells(self):
+        # one seeded flow path; each dropped cell is dead at its first read in
+        # the window with probability exp(-m u_T(inf)): K draws of every cell
+        # form the old indicator, whose mean the reader must match
+        mu = MeasureSpec(intervals=((-3.5, -1.5), (1.5, 3.5)))
+        grid = _lattice_grid(0.1, 1.0, 1.0, 0.01)
+        base = init_ensemble(mu, 0.1, 1)
+        flow = _CellFlow(base.pos, base.replica, 1, masses=base.mass)
+        mass = flow.mass[flow.member]
+        p = _never_charged(flow, grid, np.ones(len(grid), dtype=bool), (-1.0, 1.0), P21, np.random.default_rng(11))[0]
+        assert 0.05 < p < 0.95
+        rng, k = np.random.default_rng(12), 20_000
+        dead = np.ones(k, dtype=bool)
+        for t, cells in zip(grid, flow.dropped):
+            if len(cells):
+                draws = sample_transition(P21, float(t), np.repeat(mass[cells], k), rng).reshape(len(cells), k)
+                dead &= np.all(draws == 0.0, axis=0)
+        assert sum(len(c) for c in flow.dropped) > 0
+        assert abs(dead.mean() - p) <= 3 * math.sqrt(p * (1 - p) / k), f"sampled {dead.mean():.4f} reader {p:.4f}"
+
+    @pytest.mark.parametrize("params", [P21, P_HALF])
+    def test_laplace_matches_sampled_cells(self, params):
+        cfg = replace(LAPLACE_BASE, params=params, spacing=0.1, n=2)
+        value = _laplace_lhs_batch(cfg, np.random.default_rng(13), 1)[0]
+        # the same flow path again, read per start cell through the member map
+        base = init_ensemble(cfg.mu, cfg.spacing, 1)
+        flow = ReplicaFlow(base.pos, base.replica, 1, masses=base.mass, members=True)
+        rng = np.random.default_rng(13)
+        for dt in np.diff(_lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)):
+            flow.step(float(dt), rng)
+        h0 = _levels(flow.pos[flow.member], cfg.pairs, cfg.coefficients)
+        assert np.sum(base.mass * cumulant(params, cfg.t, h0)) == pytest.approx(-math.log(value), rel=1e-12)
+        k = 20_000
+        draws = sample_transition(params, cfg.t, np.repeat(base.mass, k), np.random.default_rng(14))
+        sampled = np.exp(-(draws.reshape(len(base.mass), k) * h0[:, None]).sum(axis=0))
+        se = sampled.std(ddof=1) / math.sqrt(k)
+        assert abs(sampled.mean() - value) <= 3 * se, f"sampled {sampled.mean():.4f} reader {value:.4f}"
+
+
+class TestBetaHalfReaders:
+    def test_occupation_bound_and_vacancy_run_at_small_n(self):
+        # beta < 1 reads the branching law in closed form: no fragment is drawn
+        start = time.perf_counter()
+        occ = OccupationDualityConfig(params=P_HALF, window=(-1.0, 1.0), c=1.0, t=1.0, n=200)
+        vac = VacancyBoundConfig(params=P_HALF, a=1.0, s1=1.0, s2=2.0, mu=MeasureSpec(intervals=((-4.0, 4.0),)), n=200)
+        reports = (occupation_duality_check(occ, seed=51), interval_vacancy_bound_check(vac, seed=52))
+        elapsed = time.perf_counter() - start
+        for rep in reports:
+            assert rep.verdict == "one_sided_ok" and rep.approx, rep
+        assert elapsed < 20.0
