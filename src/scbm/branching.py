@@ -29,7 +29,16 @@ __all__ = [
     "extinction_prob",
     "sample_transition",
     "sample_entrance_mass",
+    "FRAGMENTS",
+    "FRAGMENTS_RULE",
+    "fragments_fit",
 ]
+
+# Expected fragments one sample_transition call may draw below beta = 1: a draw keeps several float arrays per
+# fragment, 32 MiB each at 2**22.  At beta = 1 one gamma draw sums the fragments of a transition, so only numpy's
+# bound on a Poisson mean (about 9.2e18) applies.
+FRAGMENTS = 2**22
+FRAGMENTS_RULE = f"a Poisson mean of at most 1e18 per draw at beta = 1, {FRAGMENTS} fragments per call below"
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,16 @@ def cumulant_limit(params: BranchingParams, t: float) -> float:
     if params.gamma == 0:
         raise ValueError("cumulant limit is infinite without branching (gamma = 0)")
     b = params.beta
-    return ((1.0 + b) / (params.gamma * b * t)) ** (1.0 / b)
+    try:
+        return ((1.0 + b) / (params.gamma * b * t)) ** (1.0 / b)
+    except (OverflowError, ZeroDivisionError):  # beyond the largest float, as numpy reads it
+        return math.inf
+
+
+def fragments_fit(params: BranchingParams, t: float, x: float, size: int) -> bool:
+    """Whether ``size`` transitions over ``t`` from mass ``x`` keep within :data:`FRAGMENTS_RULE`."""
+    mean = x * cumulant_limit(params, t)
+    return mean <= 1e18 if params.beta == 1.0 else size * mean <= FRAGMENTS
 
 
 def extinction_prob(params: BranchingParams, t: float, x: float) -> float:
@@ -152,6 +170,8 @@ def _compound_step(theta: float, x, beta: float, rng: np.random.Generator):
     """One transition at extinction rate ``theta`` = u_t(inf) via the compound-Poisson decomposition."""
     xarr = np.asarray(x, dtype=float)
     counts = rng.poisson(xarr * theta)
+    if theta == 0.0:  # u_t(inf) underflowed: no fragment, every mass is extinct
+        return np.zeros(counts.shape)
     if beta == 1.0:
         # sum of N exponential(theta) fragments is Gamma(N, 1/theta); shape 0 yields 0
         return rng.gamma(counts, 1.0 / theta)

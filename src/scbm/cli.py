@@ -20,9 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .branching import BranchingParams, cumulant, cumulant_limit, sample_entrance_mass, sample_transition
-from .config import ConfigError, apply_schema, load_config
-from .engine import MeasureSpec
+from .branching import (
+    FRAGMENTS_RULE,
+    BranchingParams,
+    cumulant,
+    cumulant_limit,
+    fragments_fit,
+    sample_entrance_mass,
+    sample_transition,
+)
+from .config import ANY, BETA, GAMMA, NONNEGATIVE, POSITIVE, REPLICAS, ConfigError, Domain, apply_schema, load_config, need
+from .engine import LATTICE_POINTS, MeasureSpec
 from .experiments import (
     SurvivalConfig,
     block_survival_closed_form,
@@ -36,6 +44,8 @@ from .experiments import (
     survival_experiment,
 )
 from .harness import (
+    _BATCH,
+    FLOW_STEPS,
     AbsorbingExtinctionConfig,
     LaplaceDualityConfig,
     OccupationDualityConfig,
@@ -47,6 +57,7 @@ from .harness import (
     occupation_duality_check,
     reflected_laplace_smoke,
     truncation_escape_bound,
+    z_score,
 )
 from .oracle import (
     ORACLE_STATES,
@@ -75,74 +86,61 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row(experiment, seed, index, param_name, param_value, horizon, value, stderr, flag) -> str:
-    return ",".join(_fmt(v) for v in (experiment, seed, index, param_name, param_value, horizon, value, stderr, flag))
+class Rows:
+    """The CSV rows of one run: :meth:`add` writes a plain row, :meth:`verdict` a checked one and records a failure."""
+
+    def __init__(self, command: str, seed: int):
+        self.command, self.seed = command, seed
+        self.lines: list[str] = []
+        self.failed = False
+
+    def add(self, name, param="", value="", stderr="", flag="", index="", horizon="") -> None:
+        fields = (self.command, self.seed, index, name, param, horizon, value, stderr, flag)
+        self.lines.append(",".join(_fmt(v) for v in fields))
+
+    def verdict(self, ok: bool, name, param="", value="", stderr="", flag=None, **where) -> None:
+        """A row that fails the run unless ``ok``; its flag is pass or fail unless given."""
+        self.failed |= not ok
+        self.add(name, param, value, stderr, ("pass" if ok else "fail") if flag is None else flag, **where)
 
 
 def _stream(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
 
 
-def _require(section: str, key: str, ok: bool, need: str) -> None:
-    """Raise a config error naming ``key`` unless ``ok``."""
-    if not ok:
-        raise ConfigError(f"bad value for {key!r} in section [{section}]: need {need}")
-
-
-def _params_from(settings, gamma_key="gamma", beta_key="beta") -> BranchingParams:
-    try:
-        return BranchingParams(gamma=settings[gamma_key], beta=settings[beta_key])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # verify-duality
 # ---------------------------------------------------------------------------
 
-VERIFY_SCHEMA = {
-    "cases": ("str", "1x2,2x2,2x3,3x2"),
-    "barrier_lo": ("float", 0.0),
-    "barrier_hi": ("float", 4.0),
-    "radius": ("float", 8.0),
-    "residual_tol": ("float", 1e-9),
-    "control_min": ("float", 0.1),
-    "array_times": ("floats", (0.25, 0.5, 1.0)),
-    "array_x": ("floats", (1.0, 3.0)),
-    "array_y": ("floats", (0.5, 2.5)),
-    "array_tol": ("float", 1e-6),
-    "tv_tol": ("float", 1e-3),
-    "budget_tol": ("float", 1e-3),
-}
 
-
-def _verify_settings(settings) -> list[tuple[int, int]]:
-    """Check the [verify-duality] values, naming the key at fault; parse 'MxN,MxN,...' into particle counts."""
-    section = "verify-duality"
-    lo, hi = settings["barrier_lo"], settings["barrier_hi"]
-    _require(section, "barrier_lo", lo.is_integer(), "an integer barrier")
-    _require(section, "barrier_hi", hi.is_integer() and hi - lo >= 2, "an integer barrier at least 2 above barrier_lo")
-    _require(section, "radius", 1 <= settings["radius"] < math.inf, "a finite radius >= 1, the barrier margin")
-    _require(section, "control_min", 0 <= settings["control_min"] < math.inf, "a finite residual threshold >= 0")
-    for key in ("residual_tol", "array_tol", "tv_tol", "budget_tol"):
-        _require(section, key, 0 < settings[key] < math.inf, "a positive finite tolerance")
-    _require(section, "array_times", all(0 <= t < math.inf for t in settings["array_times"]), "finite times >= 0")
-    for key, lattice, offset in (("array_x", "integers", 0.0), ("array_y", "half-integers", 0.5)):
-        v = settings[key]
-        ok = bool(v) and list(v) == sorted(v) and all(p % 1 == offset for p in v)
-        _require(section, key, ok, f"nondecreasing {lattice}")
+def _cases(text: str):
+    """Parse 'MxN,MxN,...' into particle counts; None unless every case has M, N >= 1."""
     cases = []
-    for case in settings["cases"].split(","):
-        m_str, _, n_str = case.strip().partition("x")
+    for case in text.split(","):
+        m, _, n = case.strip().partition("x")
         try:
-            m, n = int(m_str), int(n_str)
+            cases.append((int(m), int(n)))
         except ValueError:
-            m = n = 0
-        need = f"comma-separated MxN with M, N >= 1, got {case.strip()!r}"
-        _require(section, "cases", m >= 1 and n >= 1, need)
-        cases.append((m, n))
-    _oracle_budget(settings, cases)
-    return cases
+            return None
+    return cases if all(m >= 1 and n >= 1 for m, n in cases) else None
+
+
+INTEGER = Domain(lambda v: v.is_integer(), "an integer barrier")
+
+VERIFY_SCHEMA = {
+    "cases": ("str", "1x2,2x2,2x3,3x2", Domain(lambda v: _cases(v) is not None, "comma-separated MxN with M, N >= 1")),
+    "barrier_lo": ("float", 0.0, INTEGER),
+    "barrier_hi": ("float", 4.0, INTEGER),
+    "radius": ("float", 8.0, Domain(lambda v: 1 <= v < math.inf, "a finite radius >= 1, the barrier margin")),
+    "residual_tol": ("float", 1e-9, POSITIVE),
+    "control_min": ("float", 0.1, NONNEGATIVE),
+    "array_times": ("floats", (0.25, 0.5, 1.0), NONNEGATIVE),
+    "array_x": ("floats", (1.0, 3.0), Domain(lambda v: v % 1 == 0, "integers")),
+    "array_y": ("floats", (0.5, 2.5), Domain(lambda v: v % 1 == 0.5, "half-integers")),
+    "array_tol": ("float", 1e-6, POSITIVE),
+    "tv_tol": ("float", 1e-3, POSITIVE),
+    "budget_tol": ("float", 1e-3, POSITIVE),
+}
 
 
 def _oracle_budget(settings, cases) -> None:
@@ -159,8 +157,7 @@ def _oracle_budget(settings, cases) -> None:
 
     def refuse_above(count, key, what):
         size = f"{count:,}" if count < 10**12 else "more than 10**12"
-        need = f"windows of at most {ORACLE_STATES} lattice states; {what} would have {size}"
-        _require(section, key, count <= ORACLE_STATES, need)
+        need(section, key, count <= ORACLE_STATES, f"windows of at most {ORACLE_STATES} lattice states; {what} would have {size}")
 
     def array_states(t, tol):
         return array_law_states(x0, y0, barriers, window_radius(t, particles, tol))
@@ -183,29 +180,27 @@ def _oracle_budget(settings, cases) -> None:
         refuse_above(array_states(t, tol), key, f"time {t:g} at array_tol = {tol:g}")
 
 
-def _run_verify_duality(settings, seed, threads):
-    cases = _verify_settings(settings)
+def _run_verify_duality(settings, rows, threads):
+    section = "verify-duality"
     barriers = (settings["barrier_lo"], settings["barrier_hi"])
-    rows, failed = [], False
+    need(section, "barrier_hi", barriers[1] - barriers[0] >= 2, "an integer barrier at least 2 above barrier_lo")
+    for key, lattice in (("array_x", "integers"), ("array_y", "half-integers")):
+        need(section, key, list(settings[key]) == sorted(settings[key]), f"nondecreasing {lattice}")
+    cases = _cases(settings["cases"])
+    _oracle_budget(settings, cases)
     for m, n in cases:
         residual = check_generator_duality(m, n, barriers=barriers, radius=settings["radius"])
-        ok = residual <= settings["residual_tol"]
-        failed |= not ok
-        rows.append(_row("verify-duality", seed, "", "generator_residual", f"{m}x{n}", "", residual, "", "pass" if ok else "fail"))
+        rows.verdict(residual <= settings["residual_tol"], "generator_residual", f"{m}x{n}", residual)
     control = check_generator_duality(1, 2, barriers=barriers, radius=settings["radius"], negative_control=True)
-    ok = control > settings["control_min"]
-    failed |= not ok
-    rows.append(_row("verify-duality", seed, "", "negative_control_residual", "1x2", "", control, "", "pass" if ok else "fail"))
+    rows.verdict(control > settings["control_min"], "negative_control_residual", "1x2", control)
     x0 = tuple(settings["array_x"])
     y0 = tuple(settings["array_y"])
     for t in settings["array_times"]:
         res = array_law_exact(len(x0), len(y0), x0, y0, barriers, t, tol=settings["array_tol"])
         ok = res.tv_distance <= settings["tv_tol"] and res.error_budget <= settings["budget_tol"]
-        failed |= not ok
         shape = f"m{len(x0)}n{len(y0)}"
-        rows.append(_row("verify-duality", seed, "", "array_tv", shape, t, res.tv_distance, "", "pass" if ok else "fail"))
-        rows.append(_row("verify-duality", seed, "", "array_budget", shape, t, res.error_budget, "", ""))
-    return rows, failed, None
+        rows.verdict(ok, "array_tv", shape, res.tv_distance, horizon=t)
+        rows.add("array_budget", shape, res.error_budget, horizon=t)
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +208,21 @@ def _run_verify_duality(settings, seed, threads):
 # ---------------------------------------------------------------------------
 
 CSBP_SCHEMA = {
-    "gamma": ("float", 2.0),
-    "beta": ("float", 1.0),
-    "flow_gammas": ("floats", (0.5, 1.0, 2.0)),
-    "flow_betas": ("floats", (0.25, 0.5, 1.0)),
-    "flow_max": ("float", 4.0),
-    "flow_points": ("int", 9),
-    "flow_tol": ("float", 1e-12),
-    "anchor_tol": ("float", 1e-15),
-    "sampler_n": ("int", 100_000),
-    "sampler_t": ("float", 1.0),
-    "sampler_x": ("float", 1.0),
-    "laplace_z": ("floats", (0.5, 1.0, 2.0)),
-    "entrance_n": ("int", 10_000),
-    "entrance_r": ("float", 1.0),
-    "ks_pmin": ("float", 0.01),
+    "gamma": ("float", 2.0, GAMMA),
+    "beta": ("float", 1.0, BETA),
+    "flow_gammas": ("floats", (0.5, 1.0, 2.0), NONNEGATIVE),
+    "flow_betas": ("floats", (0.25, 0.5, 1.0), BETA),
+    "flow_max": ("float", 4.0, POSITIVE),
+    "flow_points": ("int", 9, Domain(lambda v: v >= 2, "at least two grid points")),
+    "flow_tol": ("float", 1e-12, POSITIVE),
+    "anchor_tol": ("float", 1e-15, POSITIVE),
+    "sampler_n": ("int", 100_000, REPLICAS),
+    "sampler_t": ("float", 1.0, POSITIVE),
+    "sampler_x": ("float", 1.0, POSITIVE),
+    "laplace_z": ("floats", (0.5, 1.0, 2.0), POSITIVE),
+    "entrance_n": ("int", 10_000, REPLICAS),
+    "entrance_r": ("float", 1.0, POSITIVE),
+    "ks_pmin": ("float", 0.01, Domain(lambda v: 0 < v < 1, "a p-value threshold in (0, 1)")),
 }
 
 
@@ -247,148 +242,105 @@ def flow_property_residual(gammas, betas, upper, points) -> float:
     return worst
 
 
-def _csbp_params(settings) -> BranchingParams:
-    """Check the [csbp-check] values, naming the key at fault; return the branching parameters."""
-    section = "csbp-check"
-    params = _params_from(settings)
-    _require(section, "gamma", params.gamma > 0, "gamma > 0: the checks sample the branching process")
-    gammas, betas = settings["flow_gammas"], settings["flow_betas"]
-    _require(section, "flow_gammas", bool(gammas) and all(0 <= g < math.inf for g in gammas), "finite rates >= 0")
-    _require(section, "flow_betas", bool(betas) and all(0 < b <= 1 for b in betas), "exponents in (0, 1]")
-    _require(section, "flow_max", 0 < settings["flow_max"] < math.inf, "a positive finite grid end")
-    _require(section, "flow_points", settings["flow_points"] >= 2, "at least two grid points")
-    for key in ("flow_tol", "anchor_tol"):
-        _require(section, key, 0 < settings[key] < math.inf, "a positive finite tolerance")
-    for key in ("sampler_n", "entrance_n"):
-        _require(section, key, settings[key] >= 2, "at least two draws")
-    for key in ("sampler_t", "sampler_x", "entrance_r"):
-        _require(section, key, 0 < settings[key] < math.inf, "a positive finite value")
-    _require(section, "laplace_z", all(0 < z < math.inf for z in settings["laplace_z"]), "positive finite arguments")
-    _require(section, "ks_pmin", 0 < settings["ks_pmin"] < 1, "a p-value threshold in (0, 1)")
-    return params
-
-
-def _run_csbp_check(settings, seed, threads):
-    rows, failed = [], False
-    params = _csbp_params(settings)
+def _run_csbp_check(settings, rows, threads):
+    params = BranchingParams(gamma=settings["gamma"], beta=settings["beta"])
+    n, t, x, r = settings["sampler_n"], settings["sampler_t"], settings["sampler_x"], settings["entrance_r"]
+    need("csbp-check", "sampler_x", fragments_fit(params, t, x, n), f"sampler_x * u(sampler_t) within {FRAGMENTS_RULE}")
+    theta = cumulant_limit(params, r)
+    need("csbp-check", "entrance_r", theta > 0, "an age at which u_r(inf) stays a positive float")
     residual = flow_property_residual(
         settings["flow_gammas"], settings["flow_betas"], settings["flow_max"], settings["flow_points"]
     )
-    ok = residual <= settings["flow_tol"]
-    failed |= not ok
-    rows.append(_row("csbp-check", seed, "", "flow_residual", "", "", residual, "", "pass" if ok else "fail"))
+    rows.verdict(residual <= settings["flow_tol"], "flow_residual", "", residual)
 
     anchor_params = BranchingParams(gamma=2.0, beta=1.0)
     anchor = abs(cumulant(anchor_params, 1.0, cumulant(anchor_params, 1.0, 1.0)) - 1.0 / 3.0)
-    ok = anchor <= settings["anchor_tol"]
-    failed |= not ok
-    rows.append(_row("csbp-check", seed, "", "flow_anchor_error", "", "", anchor, "", "pass" if ok else "fail"))
+    rows.verdict(anchor <= settings["anchor_tol"], "flow_anchor_error", "", anchor)
 
-    n, t, x = settings["sampler_n"], settings["sampler_t"], settings["sampler_x"]
+    seed = rows.seed
     draws = sample_transition(params, t, x, _stream(seed, 1), size=n)
     frac = float(np.mean(draws == 0.0))
     target = math.exp(-x * cumulant_limit(params, t))
     se = math.sqrt(max(target * (1 - target), 1e-300) / n)
-    z = (frac - target) / se
-    ok = abs(z) <= 3
-    failed |= not ok
-    rows.append(_row("csbp-check", seed, "", "extinction_z", f"t={t:g}", "", z, se, "pass" if ok else "fail"))
+    z = z_score(frac - target, se)
+    rows.verdict(abs(z) <= 3, "extinction_z", f"t={t:g}", z, se)
 
     se_mean = float(draws.std(ddof=1) / math.sqrt(n))
-    z = (float(draws.mean()) - x) / se_mean
-    ok = abs(z) <= 3
-    failed |= not ok
-    rows.append(_row("csbp-check", seed, "", "mean_z", f"x={x:g}", "", z, se_mean, "pass" if ok else "fail"))
+    z = z_score(float(draws.mean()) - x, se_mean)
+    rows.verdict(abs(z) <= 3, "mean_z", f"x={x:g}", z, se_mean)
 
     for zpt in settings["laplace_z"]:
         vals = np.exp(-zpt * draws)
-        target = math.exp(-x * cumulant(params, t, zpt))
         se = float(vals.std(ddof=1) / math.sqrt(n))
-        zsc = (float(vals.mean()) - target) / se
-        ok = abs(zsc) <= 3
-        failed |= not ok
-        rows.append(_row("csbp-check", seed, "", "laplace_z", f"z={zpt:g}", "", zsc, se, "pass" if ok else "fail"))
+        zsc = z_score(float(vals.mean()) - math.exp(-x * cumulant(params, t, zpt)), se)
+        rows.verdict(abs(zsc) <= 3, "laplace_z", f"z={zpt:g}", zsc, se)
 
-    r = settings["entrance_r"]
-    theta = cumulant_limit(params, r)
     sample = sample_entrance_mass(params, r, _stream(seed, 2), size=settings["entrance_n"])
     from scipy import stats  # the KS p-value is csbp-check's only use of scipy; other commands start without it
 
     pvalue = float(stats.kstest(sample, "expon", args=(0.0, 1.0 / theta)).pvalue)
-    ok = pvalue > settings["ks_pmin"] if params.beta == 1.0 else True
-    failed |= not ok
-    flag = ("pass" if ok else "fail") if params.beta == 1.0 else "approx"
-    rows.append(_row("csbp-check", seed, "", "entrance_ks_pvalue", f"r={r:g}", "", pvalue, "", flag))
-    return rows, failed, None
+    if params.beta == 1.0:
+        rows.verdict(pvalue > settings["ks_pmin"], "entrance_ks_pvalue", f"r={r:g}", pvalue)
+    else:
+        rows.add("entrance_ks_pvalue", f"r={r:g}", pvalue, flag="approx")
 
 
 # ---------------------------------------------------------------------------
 # scbm-duality
 # ---------------------------------------------------------------------------
 
+# a position the flow can still step: at 1e9 a float resolves 1.2e-7, far below the smallest step's sd of 0.07
+POSITION = Domain(lambda v: abs(v) <= 1e9, "a position within +-1e9")
+HALF_WIDTH = Domain(lambda v: 0 <= v <= 1e9, "a half-width in [0, 1e9]")
+
 DUALITY_SCHEMA = {
-    "gamma": ("float", 2.0),
-    "beta": ("float", 1.0),
-    "laplace_t": ("float", 1.0),
-    "laplace_mu_lo": ("float", -2.0),
-    "laplace_mu_hi": ("float", 2.0),
-    "laplace_pair_lo": ("float", -1.0),
-    "laplace_pair_hi": ("float", 1.0),
-    "laplace_coeff": ("float", 1.0),
-    "laplace_n": ("int", 10_000),
-    "run_control": ("bool", True),
-    "control_n": ("int", 100_000),
-    "control_scale": ("float", 1.2),
-    "absorbing_a": ("float", 0.0),
-    "absorbing_b": ("float", 3.0),
-    "absorbing_c": ("float", 1.0),
-    "absorbing_t": ("float", 1.0),
-    "absorbing_n": ("int", 10_000),
-    "occupation_y1": ("float", -1.0),
-    "occupation_y2": ("float", 1.0),
-    "occupation_c": ("float", 1.0),
-    "occupation_t": ("float", 1.0),
-    "occupation_n": ("int", 10_000),
-    "vacancy_a": ("float", 1.0),
-    "vacancy_s1": ("float", 1.0),
-    "vacancy_s2": ("float", 2.0),
-    "vacancy_L": ("float", 4.0),
-    "vacancy_n": ("int", 10_000),
-    "run_smoke": ("bool", True),
-    "smoke_n": ("int", 2_000),
-    "smoke_barrier_lo": ("float", -3.0),
-    "smoke_barrier_hi": ("float", 3.0),
+    "gamma": ("float", 2.0, GAMMA),
+    "beta": ("float", 1.0, BETA),
+    "laplace_t": ("float", 1.0, POSITIVE),
+    "laplace_mu_lo": ("float", -2.0, POSITION),
+    "laplace_mu_hi": ("float", 2.0, POSITION),
+    "laplace_pair_lo": ("float", -1.0, POSITION),
+    "laplace_pair_hi": ("float", 1.0, POSITION),
+    "laplace_coeff": ("float", 1.0, POSITIVE),
+    "laplace_n": ("int", 10_000, REPLICAS),
+    "run_control": ("bool", True, ANY),
+    "control_n": ("int", 100_000, REPLICAS),
+    "control_scale": ("float", 1.2, POSITIVE),
+    "absorbing_a": ("float", 0.0, POSITION),
+    "absorbing_b": ("float", 3.0, POSITION),
+    "absorbing_c": ("float", 1.0, HALF_WIDTH),
+    "absorbing_t": ("float", 1.0, POSITIVE),
+    "absorbing_n": ("int", 10_000, REPLICAS),
+    "occupation_y1": ("float", -1.0, POSITION),
+    "occupation_y2": ("float", 1.0, POSITION),
+    "occupation_c": ("float", 1.0, HALF_WIDTH),
+    "occupation_t": ("float", 1.0, POSITIVE),
+    "occupation_n": ("int", 10_000, REPLICAS),
+    "vacancy_a": ("float", 1.0, Domain(lambda v: 0 < v <= 1e9, "a half-width in (0, 1e9]")),
+    "vacancy_s1": ("float", 1.0, POSITIVE),
+    "vacancy_s2": ("float", 2.0, POSITIVE),
+    "vacancy_L": ("float", 4.0, POSITIVE),
+    "vacancy_n": ("int", 10_000, REPLICAS),
+    "run_smoke": ("bool", True, ANY),
+    "smoke_n": ("int", 2_000, REPLICAS),
+    "smoke_barrier_lo": ("float", -3.0, POSITION),
+    "smoke_barrier_hi": ("float", 3.0, POSITION),
 }
 
 
-def _report_row(seed, report, extra_flag=""):
+def _report_row(rows: Rows, report, extra_flag="", counts=True) -> None:
+    """One check's row; it fails the run unless ``counts`` is off."""
     flag = report.verdict if not extra_flag else f"{report.verdict};{extra_flag}"
     if report.approx:
         flag += ";approx"
-    return _row(
-        "scbm-duality",
-        seed,
-        "",
-        report.label,
-        f"lhs={report.lhs.mean:.6g};rhs={report.rhs_mean:.6g}",
-        "",
-        report.z_score,
-        math.sqrt(report.lhs.stderr**2 + report.rhs_stderr**2),
-        flag,
-    )
+    param = f"lhs={report.lhs.mean:.6g};rhs={report.rhs_mean:.6g}"
+    pooled = math.sqrt(report.lhs.stderr**2 + report.rhs_stderr**2)
+    rows.verdict(report.passed or not counts, report.label, param, report.z_score, pooled, flag)
 
 
 def _duality_configs(settings):
-    """Every scbm-duality check config, built and validated before any check runs."""
-    for key in DUALITY_SCHEMA:
-        if key.endswith("_n"):
-            _require("scbm-duality", key, settings[key] >= 2, "at least two replicas")
-    for key in ("laplace_t", "absorbing_t", "occupation_t", "vacancy_s1"):
-        _require("scbm-duality", key, 0 < settings[key] < math.inf, "a positive finite time")
-    s1, s2 = settings["vacancy_s1"], settings["vacancy_s2"]
-    _require("scbm-duality", "vacancy_s2", s1 < s2 < math.inf, "a finite time above vacancy_s1")
-    params = _params_from(settings)
-    _require("scbm-duality", "gamma", params.gamma > 0, "gamma > 0: the checks read the branching law")
+    """Every scbm-duality check config, with the rules that tie keys together checked before any check runs."""
+    section, s = "scbm-duality", settings
     for lo, hi in (
         ("laplace_mu_lo", "laplace_mu_hi"),
         ("laplace_pair_lo", "laplace_pair_hi"),
@@ -396,222 +348,186 @@ def _duality_configs(settings):
         ("occupation_y1", "occupation_y2"),
         ("smoke_barrier_lo", "smoke_barrier_hi"),
     ):
-        _require("scbm-duality", lo, math.isfinite(settings[lo]), "a finite value")
-        _require("scbm-duality", hi, settings[lo] < settings[hi] < math.inf, f"a finite value above {lo}")
-    for key in ("laplace_coeff", "control_scale", "vacancy_a", "vacancy_L"):
-        _require("scbm-duality", key, 0 < settings[key] < math.inf, "a positive finite value")
-    for key in ("absorbing_c", "occupation_c"):
-        _require("scbm-duality", key, 0 <= settings[key] < math.inf, "a finite half-width >= 0")
-    levels = (settings["laplace_pair_lo"], settings["laplace_pair_hi"])
+        need(section, hi, s[lo] < s[hi], f"a value above {lo}")
+    need(section, "vacancy_s2", s["vacancy_s1"] < s["vacancy_s2"], "a time above vacancy_s1")
+    need(section, "control_scale", s["gamma"] * s["control_scale"] < math.inf, "a finite gamma * control_scale")
     for key in ("smoke_barrier_lo", "smoke_barrier_hi"):
-        _require("scbm-duality", key, settings[key] not in levels, "a barrier off the Laplace pair points")
-    try:
-        lap = LaplaceDualityConfig(
+        need(section, key, s[key] not in (s["laplace_pair_lo"], s["laplace_pair_hi"]), "a barrier off the Laplace pair points")
+    params = BranchingParams(gamma=s["gamma"], beta=s["beta"])
+    lap = LaplaceDualityConfig(
+        params=params,
+        t=s["laplace_t"],
+        mu=MeasureSpec(intervals=((s["laplace_mu_lo"], s["laplace_mu_hi"]),)),
+        pairs=((s["laplace_pair_lo"], s["laplace_pair_hi"]),),
+        coefficients=(s["laplace_coeff"],),
+        n=s["laplace_n"],
+    )
+    occ = dict(window=(s["occupation_y1"], s["occupation_y2"]), c=s["occupation_c"], t=s["occupation_t"], n=s["occupation_n"])
+    cfgs = dict(
+        laplace=lap,
+        control=replace(lap, n=s["control_n"], rhs_gamma_scale=s["control_scale"]),
+        absorbing=AbsorbingExtinctionConfig(
+            barriers=(s["absorbing_a"], s["absorbing_b"]), c=s["absorbing_c"], t=s["absorbing_t"], n=s["absorbing_n"]
+        ),
+        occupation_eq=OccupationDualityConfig(params=BranchingParams(gamma=0.0), spacing=0.5, **occ),
+        occupation_bound=OccupationDualityConfig(params=params, **occ),
+        vacancy=VacancyBoundConfig(
             params=params,
-            t=settings["laplace_t"],
-            mu=MeasureSpec(intervals=((settings["laplace_mu_lo"], settings["laplace_mu_hi"]),)),
-            pairs=((settings["laplace_pair_lo"], settings["laplace_pair_hi"]),),
-            coefficients=(settings["laplace_coeff"],),
-            n=settings["laplace_n"],
-        )
-        occ = dict(
-            window=(settings["occupation_y1"], settings["occupation_y2"]),
-            c=settings["occupation_c"],
-            t=settings["occupation_t"],
-            n=settings["occupation_n"],
-        )
-        return dict(
-            laplace=lap,
-            control=replace(lap, n=settings["control_n"], rhs_gamma_scale=settings["control_scale"]),
-            absorbing=AbsorbingExtinctionConfig(
-                barriers=(settings["absorbing_a"], settings["absorbing_b"]),
-                c=settings["absorbing_c"],
-                t=settings["absorbing_t"],
-                n=settings["absorbing_n"],
-            ),
-            occupation_eq=OccupationDualityConfig(params=BranchingParams(gamma=0.0), spacing=0.5, **occ),
-            occupation_bound=OccupationDualityConfig(params=params, **occ),
-            vacancy=VacancyBoundConfig(
-                params=params,
-                a=settings["vacancy_a"],
-                s1=settings["vacancy_s1"],
-                s2=settings["vacancy_s2"],
-                mu=MeasureSpec(intervals=((-settings["vacancy_L"], settings["vacancy_L"]),)),
-                n=settings["vacancy_n"],
-            ),
-            smoke=ReflectedLaplaceConfig(
-                params=params,
-                barriers=(settings["smoke_barrier_lo"], settings["smoke_barrier_hi"]),
-                t=settings["laplace_t"],
-                mu=lap.mu,
-                pairs=lap.pairs,
-                coefficients=lap.coefficients,
-                n=settings["smoke_n"],
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad value in section [scbm-duality]: {exc}") from exc
+            a=s["vacancy_a"],
+            s1=s["vacancy_s1"],
+            s2=s["vacancy_s2"],
+            mu=MeasureSpec(intervals=((-s["vacancy_L"], s["vacancy_L"]),)),
+            n=s["vacancy_n"],
+        ),
+        smoke=ReflectedLaplaceConfig(
+            params=params,
+            barriers=(s["smoke_barrier_lo"], s["smoke_barrier_hi"]),
+            t=s["laplace_t"],
+            mu=lap.mu,
+            pairs=lap.pairs,
+            coefficients=lap.coefficients,
+            n=s["smoke_n"],
+        ),
+    )
+    for key, cfg, t_end in (
+        ("laplace_t", cfgs["smoke"], lap.t),
+        ("absorbing_t", cfgs["absorbing"], s["absorbing_t"]),
+        ("occupation_t", cfgs["occupation_bound"], s["occupation_t"]),
+        ("vacancy_s2", cfgs["vacancy"], s["vacancy_s2"]),
+    ):
+        need(section, key, t_end / cfg.dt <= FLOW_STEPS, f"at most {FLOW_STEPS} flow steps of {cfg.dt:g}")
+    for key, cfg in (("laplace_mu_hi", lap), ("vacancy_L", cfgs["vacancy"])):
+        lo, hi = cfg.mu.intervals[0]
+        points = ((hi - lo) / cfg.spacing + 2) * _BATCH
+        need(section, key, points <= LATTICE_POINTS, f"at most {LATTICE_POINTS} lattice points per batch of {_BATCH}")
+    return cfgs
 
 
-def _run_scbm_duality(settings, seed, threads):
-    rows, failed = [], False
+def _run_scbm_duality(settings, rows, threads):
+    seed = rows.seed
     cfgs = _duality_configs(settings)
-
-    report = laplace_duality_check(cfgs["laplace"], seed, threads)
-    failed |= not report.passed
-    rows.append(_report_row(seed, report))
+    _report_row(rows, laplace_duality_check(cfgs["laplace"], seed, threads))
 
     if settings["run_control"]:
         control = laplace_duality_check(cfgs["control"], seed + 1, threads)
         detected = abs(control.z_score) > 3.0
-        failed |= not detected
-        rows.append(
-            _row(
-                "scbm-duality",
-                seed,
-                "",
-                "laplace_negative_control",
-                f"scale={settings['control_scale']:g}",
-                "",
-                control.z_score,
-                "",
-                ("detected" if detected else "missed") + (";approx" if control.approx else ""),
-            )
-        )
+        flag = ("detected" if detected else "missed") + (";approx" if control.approx else "")
+        rows.verdict(detected, "laplace_negative_control", f"scale={settings['control_scale']:g}", control.z_score, flag=flag)
 
     absorbing = cfgs["absorbing"]
-    report = absorbing_extinction_check(absorbing, seed + 10, threads)
-    failed |= not report.passed
-    rows.append(_report_row(seed, report))
-    rows.append(
-        _row(
-            "scbm-duality",
-            seed,
-            "",
-            "absorbing_truncation_bound",
-            f"margin={absorbing.margin:g}",
-            "",
-            truncation_escape_bound(absorbing.margin, absorbing.t),
-            "",
-            "",
-        )
-    )
+    _report_row(rows, absorbing_extinction_check(absorbing, seed + 10, threads))
+    rows.add("absorbing_truncation_bound", f"margin={absorbing.margin:g}", truncation_escape_bound(absorbing.margin, absorbing.t))
 
     for key, check, offset in (
         ("occupation_eq", occupation_duality_check, 20),
         ("occupation_bound", occupation_duality_check, 30),
         ("vacancy", interval_vacancy_bound_check, 40),
     ):
-        report = check(cfgs[key], seed + offset, threads)
-        failed |= not report.passed
-        rows.append(_report_row(seed, report))
+        _report_row(rows, check(cfgs[key], seed + offset, threads))
 
     if settings["run_smoke"]:
-        report = reflected_laplace_smoke(cfgs["smoke"], seed + 50, threads)
-        rows.append(_report_row(seed, report, extra_flag="smoke"))
-    return rows, failed, None
+        _report_row(rows, reflected_laplace_smoke(cfgs["smoke"], seed + 50, threads), extra_flag="smoke", counts=False)
 
 
 # ---------------------------------------------------------------------------
 # integral-test
 # ---------------------------------------------------------------------------
 
+
+def _growth(spec: str):
+    """The growth function of ``spec``, or None when it does not parse."""
+    try:
+        return parse_growth(spec)
+    except ValueError:
+        return None
+
+
+GROWTH = Domain(lambda v: _growth(v) is not None, "power:P, constant:C, cappedexp:CAP or staircase:t:v,t:v,...")
+
 INTEGRAL_SCHEMA = {
-    "g": ("str", "power:0.3"),
-    "gamma": ("float", 2.0),
-    "beta": ("float", 1.0),
-    "horizon": ("float", 1e4),
-    "series_n": ("int", 12),
-    "delta": ("float", 0.75),
-    "seq_n": ("int", 10),
-    "block_index": ("int", 1),
-    "block_n": ("int", 10_000),
-    "envelope_eps": ("float", 0.1),
+    "g": ("str", "power:0.3", GROWTH),
+    "gamma": ("float", 2.0, GAMMA),
+    "beta": ("float", 1.0, BETA),
+    "horizon": ("float", 1e4, Domain(lambda v: 1 < v < math.inf, "a finite horizon > 1")),
+    # the ladder e^n overflows past n = 709
+    "series_n": ("int", 12, Domain(lambda v: 1 <= v <= 709, "between 1 and 709 terms")),
+    "delta": ("float", 0.75, Domain(lambda v: 0.5 < v < 1, "delta in (1/2, 1)")),
+    "seq_n": ("int", 10, Domain(lambda v: v >= 1, "seq_n >= 1")),
+    "block_index": ("int", 1, Domain(lambda v: v >= 1, "a block index in 1..seq_n")),
+    "block_n": ("int", 10_000, REPLICAS),
+    "envelope_eps": ("float", 0.1, Domain(lambda v: 0 < v < 0.5, "envelope_eps in (0, 1/2)")),
 }
 
 
-def _run_integral_test(settings, seed, threads):
-    rows, failed = [], False
-    params = _params_from(settings)
-    try:
-        g = parse_growth(settings["g"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    section = "integral-test"
-    _require(section, "gamma", params.gamma > 0, "gamma > 0: the block survival law needs branching")
-    _require(section, "g", g(1.0) > 0, "a growth function positive at time 1")
-    _require(section, "horizon", 1 < settings["horizon"] < math.inf, "a finite horizon > 1")
-    _require(section, "series_n", settings["series_n"] >= 1, "at least one term")
-    _require(section, "delta", 0.5 < settings["delta"] < 1, "delta in (1/2, 1)")
-    _require(section, "seq_n", settings["seq_n"] >= 1, "seq_n >= 1")
-    _require(section, "block_index", 1 <= settings["block_index"] <= settings["seq_n"], "a block index in 1..seq_n")
-    _require(section, "block_n", settings["block_n"] >= 2, "at least two replicas")
-    _require(section, "envelope_eps", 0 < settings["envelope_eps"] < 0.5, "envelope_eps in (0, 1/2)")
+def _run_integral_test(settings, rows, threads):
+    section, seed = "integral-test", rows.seed
+    params = BranchingParams(gamma=settings["gamma"], beta=settings["beta"])
+    g = parse_growth(settings["g"])
+    need(section, "g", g(1.0) > 0, "a growth function positive at time 1")
+    need(section, "block_index", settings["block_index"] <= settings["seq_n"], "a block index in 1..seq_n")
+    triple = build_sequences(g, settings["seq_n"])
+    k, idx = len(triple.times), settings["block_index"]
+    if idx < k:  # the Monte Carlo block draws one transition per replica from mass 2 * width
+        width = triple.upper[idx] - triple.lower[idx]
+        ok = width <= 0 or fragments_fit(params, float(triple.times[idx]), 2 * width, settings["block_n"])
+        need(section, "g", ok, f"a block {idx} whose survival draws keep within {FRAGMENTS_RULE}")
 
     diag = integral_partial(g, params.beta, settings["horizon"])
-    rows.append(_row("integral-test", seed, "", "integral_partial", g.label, settings["horizon"], diag.value, "", diag.classification))
-    rows.append(_row("integral-test", seed, "", "integral_partial", g.label, 2 * settings["horizon"], diag.value_2t, "", ""))
-    rows.append(_row("integral-test", seed, "", "integral_partial", g.label, 4 * settings["horizon"], diag.value_4t, "", ""))
+    rows.add("integral_partial", g.label, diag.value, flag=diag.classification, horizon=settings["horizon"])
+    rows.add("integral_partial", g.label, diag.value_2t, horizon=2 * settings["horizon"])
+    rows.add("integral_partial", g.label, diag.value_4t, horizon=4 * settings["horizon"])
     if diag.limit_estimate is not None:
-        rows.append(_row("integral-test", seed, "", "integral_limit", g.label, "", diag.limit_estimate, "", ""))
+        rows.add("integral_limit", g.label, diag.limit_estimate)
 
     series = series_eval(g, params, settings["series_n"], settings["delta"])
     for i, (term, psum, tail) in enumerate(zip(series.terms, series.partial_sums, series.tail_terms), start=1):
-        rows.append(_row("integral-test", seed, i, "series_term", g.label, i, term, "", ""))
-        rows.append(_row("integral-test", seed, i, "series_partial_sum", g.label, i, psum, "", ""))
-        rows.append(_row("integral-test", seed, i, "series_tail_bound", g.label, i, tail, "", ""))
-    rows.append(_row("integral-test", seed, "", "series_bounded", g.label, "", series.bounded, "", ""))
-    rows.append(_row("integral-test", seed, "", "comparison_constant", "", "", series.comparison, "", ""))
+        rows.add("series_term", g.label, term, index=i, horizon=i)
+        rows.add("series_partial_sum", g.label, psum, index=i, horizon=i)
+        rows.add("series_tail_bound", g.label, tail, index=i, horizon=i)
+    rows.add("series_bounded", g.label, series.bounded)
+    rows.add("comparison_constant", "", series.comparison)
 
-    triple = build_sequences(g, settings["seq_n"])
-    k = len(triple.times)
     for n in range(k):
-        flags = []
+        ok, flags = True, []
         if n < k - 1:
-            flags.append("eqng_ok" if triple.eqng_ok[n] else "eqng_fail")
-            if not triple.eqng_ok[n]:
-                failed = True
+            ok = triple.eqng_ok[n]
+            flags.append("eqng_ok" if ok else "eqng_fail")
         if 1 <= n < k - 1:
+            ok = ok and triple.intervaldiff_ok[n]
             flags.append("diff_ok" if triple.intervaldiff_ok[n] else "diff_fail")
             flags.append("window_ok" if triple.window_ok[n] else "window_empty")
-            if not triple.intervaldiff_ok[n]:
-                failed = True
-        rows.append(_row("integral-test", seed, n, "sequence_time", g.label, n, triple.times[n], "", ";".join(flags)))
+        rows.verdict(ok, "sequence_time", g.label, triple.times[n], flag=";".join(flags), index=n, horizon=n)
         if n >= 1:
-            rows.append(_row("integral-test", seed, n, "sequence_lower", g.label, n, triple.lower[n], "", ""))
-        rows.append(_row("integral-test", seed, n, "sequence_upper", g.label, n, triple.upper[n], "", ""))
+            rows.add("sequence_lower", g.label, triple.lower[n], index=n, horizon=n)
+        rows.add("sequence_upper", g.label, triple.upper[n], index=n, horizon=n)
     if triple.terminated:
-        rows.append(_row("integral-test", seed, "", "sequence_terminated", g.label, "", True, "", "growth_exhausted"))
+        rows.add("sequence_terminated", g.label, True, flag="growth_exhausted")
 
     bounds = escape_probability_bounds(g, triple, settings["envelope_eps"])
     for n in range(k):
         env = "env_ok" if bounds.envelope_ok[n] else "env_violated"
-        rows.append(_row("integral-test", seed, n, "escape_block_bound", g.label, n, bounds.block[n], "", env))
+        rows.add("escape_block_bound", g.label, bounds.block[n], flag=env, index=n, horizon=n)
         if n >= 1:
-            rows.append(_row("integral-test", seed, n, "escape_coupling_bound", g.label, n, bounds.coupling[n], "", ""))
+            rows.add("escape_coupling_bound", g.label, bounds.coupling[n], index=n, horizon=n)
 
-    idx = settings["block_index"]
     if idx >= k:  # the growth stopped tripling before block idx; the value is the last sequence index
-        rows.append(_row("integral-test", seed, idx, "block_survival_skipped", g.label, idx, k - 1, "", "growth_exhausted"))
+        rows.add("block_survival_skipped", g.label, k - 1, flag="growth_exhausted", index=idx, horizon=idx)
     else:
         prob, empty = block_survival_closed_form(params, idx, triple)
-        rows.append(_row("integral-test", seed, idx, "block_survival_closed_form", g.label, idx, prob, "", "empty" if empty else ""))
+        rows.add("block_survival_closed_form", g.label, prob, flag="empty" if empty else "", index=idx, horizon=idx)
         if not empty:
             est = block_survival_mc(params, idx, triple, settings["block_n"], seed, threads)
-            z = 0.0 if est.stderr == 0 else (est.mean - prob) / est.stderr
-            ok = abs(z) <= 3
-            failed |= not ok
-            rows.append(_row("integral-test", seed, idx, "block_survival_mc_z", g.label, idx, z, est.stderr, "pass" if ok else "fail"))
+            z = z_score(est.mean - prob, est.stderr)
+            rows.verdict(abs(z) <= 3, "block_survival_mc_z", g.label, z, est.stderr, index=idx, horizon=idx)
 
-    svg = None
     if len(series.partial_sums) >= 2:
-        svg = line_chart(
+        return line_chart(
             [("partial sums", list(range(1, len(series.partial_sums) + 1)), list(series.partial_sums))],
             f"series partial sums ({g.label})",
             "term index",
             "partial sum",
         )
-    return rows, failed, svg
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -619,34 +535,32 @@ def _run_integral_test(settings, seed, threads):
 # ---------------------------------------------------------------------------
 
 SURVIVAL_SCHEMA = {
-    "gamma": ("float", 2.0),
-    "beta": ("float", 1.0),
-    "truncation": ("float", 50.0),
-    "horizons": ("floats", (4.0, 16.0, 64.0)),
-    "replicas": ("int", 2000),
-    "g": ("str", "constant:1"),
-    "g_alt": ("str", ""),
-    "dt": ("float", 0.1),
-    "spacing": ("float", 0.05),
-    "batch": ("int", 32),
-    "expect_decreasing": ("bool", False),
-    "expect_domination": ("bool", False),
+    "gamma": ("float", 2.0, GAMMA),
+    "beta": ("float", 1.0, BETA),
+    "truncation": ("float", 50.0, NONNEGATIVE),
+    "horizons": ("floats", (4.0, 16.0, 64.0), POSITIVE),
+    "replicas": ("int", 2000, REPLICAS),
+    "g": ("str", "constant:1", GROWTH),
+    "g_alt": ("str", "", Domain(lambda v: v == "" or _growth(v) is not None, "empty, or a g spec")),
+    "dt": ("float", 0.1, POSITIVE),
+    # the rule of engine.init_ensemble: the first step lasts spacing**2
+    "spacing": ("float", 0.05, Domain(lambda v: 0 < v and 0 < v * v < math.inf, "a positive spacing with a positive finite square")),
+    "batch": ("int", 32, Domain(lambda v: v >= 1, "batch >= 1")),
+    "expect_decreasing": ("bool", False, ANY),
+    "expect_domination": ("bool", False, ANY),
 }
 
 
-def _run_survival(settings, seed, threads):
-    rows, failed = [], False
-    params = _params_from(settings)
-    try:
-        g_main = parse_growth(settings["g"])
-        g_alt = parse_growth(settings["g_alt"]) if settings["g_alt"] else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+def _run_survival(settings, rows, threads):
+    params = BranchingParams(gamma=settings["gamma"], beta=settings["beta"])
+    g_main = parse_growth(settings["g"])
+    g_alt = parse_growth(settings["g_alt"]) if settings["g_alt"] else None
     h = settings["horizons"]
-    _require("survival", "expect_decreasing", not settings["expect_decreasing"] or len(h) >= 2, "at least two horizons")
-    _require("survival", "expect_domination", not settings["expect_domination"] or g_alt is not None, "a g_alt to compare")
-    try:  # SurvivalConfig checks every other key, naming it
+    for key, g in (("g", g_main), ("g_alt", g_alt)):
+        need("survival", key, g is None or math.isfinite(g(h[-1])), "a growth function finite up to the last horizon")
+    need("survival", "expect_decreasing", not settings["expect_decreasing"] or len(h) >= 2, "at least two horizons")
+    need("survival", "expect_domination", not settings["expect_domination"] or g_alt is not None, "a g_alt to compare")
+    try:  # SurvivalConfig checks the rules that tie keys together, naming the key
         cfgs = [
             SurvivalConfig(
                 params=params,
@@ -665,33 +579,28 @@ def _run_survival(settings, seed, threads):
 
     results = []
     for cfg in cfgs:
-        res = survival_experiment(cfg, seed, threads)
+        res = survival_experiment(cfg, rows.seed, threads)
         results.append(res)
         for i, (horizon, frac, se) in enumerate(zip(res.horizons, res.fractions, res.stderrs)):
             flag = "approx" if params.beta < 1 else ""
             if i == len(res.horizons) - 1:
                 flag = (flag + ";" if flag else "") + f"alive_at_end={res.alive_at_end}"
-            rows.append(_row("survival", seed, "", "survival_fraction", res.g_label, horizon, frac, se, flag))
+            rows.add("survival_fraction", res.g_label, frac, se, flag, horizon=horizon)
 
     if settings["expect_decreasing"]:
         fr = results[0].fractions
         ok = all(a > b for a, b in zip(fr, fr[1:]))
-        failed |= not ok
-        rows.append(_row("survival", seed, "", "decreasing_trend", results[0].g_label, "", ok, "", "pass" if ok else "fail"))
+        rows.verdict(ok, "decreasing_trend", results[0].g_label, ok)
     if settings["expect_domination"]:
         ok = all(b >= a for a, b in zip(results[0].fractions, results[1].fractions))
-        failed |= not ok
-        rows.append(
-            _row("survival", seed, "", "domination", f"{results[1].g_label}>={results[0].g_label}", "", ok, "", "pass" if ok else "fail")
-        )
+        rows.verdict(ok, "domination", f"{results[1].g_label}>={results[0].g_label}", ok)
 
-    svg = line_chart(
+    return line_chart(
         [(res.g_label, list(res.horizons), list(res.fractions)) for res in results],
         "window survival fractions",
         "horizon",
         "fraction surviving",
     )
-    return rows, failed, svg
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +608,10 @@ def _run_survival(settings, seed, threads):
 # ---------------------------------------------------------------------------
 
 RUN_SCHEMA = {
-    "seed": ("int", 12345),
-    "threads": ("int", 1),
-    "out": ("str", "out"),
-    "svg": ("bool", False),
+    "seed": ("int", 12345, Domain(lambda v: v >= 0, "a seed >= 0")),
+    "threads": ("int", 1, Domain(lambda v: v >= 1, "threads >= 1")),
+    "out": ("str", "out", ANY),
+    "svg": ("bool", False, ANY),
 }
 
 SUBCOMMANDS = {
@@ -731,24 +640,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         sections = load_config(args.config) if args.config else {}
-        run = apply_schema("run", sections.get("run", {}), RUN_SCHEMA)
-        if args.seed is not None:
-            run["seed"] = args.seed
-        if args.threads is not None:
-            run["threads"] = args.threads
-        if args.out is not None:
-            run["out"] = args.out
+        raw = dict(sections.get("run", {}))  # flags override the file and meet the same domains
+        raw.update({key: str(getattr(args, key)) for key in ("seed", "threads", "out") if getattr(args, key) is not None})
         if args.svg is not None:
-            run["svg"] = True
-        _require("run", "seed", run["seed"] >= 0, "a seed >= 0")
-        _require("run", "threads", run["threads"] >= 1, "threads >= 1")
+            raw["svg"] = "true"
+        run = apply_schema("run", raw, RUN_SCHEMA)
         schema, handler = SUBCOMMANDS[args.command]
         settings = apply_schema(args.command, sections.get(args.command, {}), schema)
         known = set(SUBCOMMANDS) | {"run", ""}
         for name in sections:
             if name not in known:
                 raise ConfigError(f"unknown config section [{name}]")
-        rows, failed, svg = handler(settings, run["seed"], run["threads"])
+        rows = Rows(args.command, run["seed"])
+        svg = handler(settings, rows, run["threads"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -756,11 +660,11 @@ def main(argv=None) -> int:
     out_dir = Path(run["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.command}.csv"
-    csv_path.write_text(CSV_HEADER + "\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+    csv_path.write_text(CSV_HEADER + "\n" + "".join(r + "\n" for r in rows.lines), encoding="utf-8")
     if run["svg"] and svg is not None:
         (out_dir / f"{args.command}.svg").write_text(svg, encoding="utf-8")
-    print(f"wrote {csv_path}" + (" (checks failed)" if failed else ""))
-    return EXIT_FAILED if failed else EXIT_OK
+    print(f"wrote {csv_path}" + (" (checks failed)" if rows.failed else ""))
+    return EXIT_FAILED if rows.failed else EXIT_OK
 
 
 if __name__ == "__main__":

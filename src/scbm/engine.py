@@ -29,7 +29,11 @@ import numpy as np
 
 from .flow import FlowBoundary, ReplicaFlow
 
-__all__ = ["MeasureSpec", "init_ensemble"]
+__all__ = ["LATTICE_POINTS", "MeasureSpec", "init_ensemble"]
+
+# Lattice points one batch of replicas may start with.  A step keeps several float arrays per point, 32 MiB each
+# at 2**22 points: a tiny spacing or a wide measure is refused before anything is allocated.
+LATTICE_POINTS = 2**22
 
 
 @dataclass(frozen=True)

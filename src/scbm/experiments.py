@@ -18,9 +18,9 @@ from functools import partial
 
 import numpy as np
 
-from .branching import BranchingParams, cumulant_limit, sample_transition
-from .engine import MeasureSpec, init_ensemble
-from .harness import MCEstimate, _lattice_grid, _mc_batched, _run_batches
+from .branching import FRAGMENTS_RULE, BranchingParams, cumulant_limit, fragments_fit, sample_transition
+from .engine import LATTICE_POINTS, MeasureSpec, init_ensemble
+from .harness import FLOW_STEPS, MCEstimate, _lattice_grid, _mc_batched, _run_batches
 
 __all__ = [
     "GrowthFunction",
@@ -86,7 +86,10 @@ class PowerGrowth(GrowthFunction):
             raise ValueError("power growth needs nonnegative exponent and coefficient")
 
     def __call__(self, t: float) -> float:
-        return self.coefficient * t**self.exponent
+        try:
+            return self.coefficient * t**self.exponent
+        except OverflowError:  # past the largest float
+            return math.inf
 
     @property
     def label(self) -> str:
@@ -457,11 +460,6 @@ def escape_probability_bounds(g: GrowthFunction, triple: SequenceTriple, eps: fl
 # ---------------------------------------------------------------------------
 
 
-# Lattice points one survival batch may start with (defaults: 64,032).  A step keeps several float arrays per
-# point, 32 MiB each at 2**22 points: a tiny spacing or a huge truncation is refused before anything is allocated.
-SURVIVAL_POINTS = 2**22
-
-
 def _need(ok: bool, key: str, need: str) -> None:
     if not ok:
         raise ValueError(f"bad value for {key!r}: need {need}")
@@ -489,11 +487,15 @@ class SurvivalConfig:
         _need(self.replicas >= 2, "replicas", "at least two replicas")
         _need(self.batch >= 1, "batch", "batch >= 1")
         _need(0 < self.dt < math.inf, "dt", "a positive finite time")
+        key = "horizons" if h[-1] / SurvivalConfig.dt > FLOW_STEPS else "dt"  # horizons too long at the default dt
+        _need(h[-1] / self.dt <= FLOW_STEPS, key, f"at most {FLOW_STEPS} flow steps of dt up to the last horizon")
+        ok = fragments_fit(self.params, h[-1], 2 * self.truncation, min(self.batch, self.replicas))
+        _need(ok, "horizons", f"a last horizon whose alive_at_end draws keep within {FRAGMENTS_RULE}")
         # the rule of engine.init_ensemble, checked here before anything is allocated
         _need(0 < spacing and 0 < spacing * spacing < math.inf, "spacing", "a positive spacing with a positive finite square")
-        points = (2 * self.truncation / spacing + 1) * min(self.batch, self.replicas)
-        need = f"(2 * truncation / spacing + 1) * min(batch, replicas) <= {SURVIVAL_POINTS} lattice points per batch"
-        _need(points <= SURVIVAL_POINTS, "spacing", need)
+        points = (2 * self.truncation / spacing + 1) * min(self.batch, self.replicas)  # 64,032 at the defaults
+        need = f"(2 * truncation / spacing + 1) * min(batch, replicas) <= {LATTICE_POINTS} lattice points per batch"
+        _need(points <= LATTICE_POINTS, "spacing", need)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ so importing the harness loads no scipy.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 _BATCH = 64
+# Grid steps one flow run may take: a config asking for more is refused before anything runs.
+FLOW_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -143,13 +146,23 @@ def hybrid_grid(start: float, t_end: float, dt: float, ratio: float = 1.25) -> n
 
 
 def _lattice_grid(spacing: float, first_read: float, t_end: float, dt: float) -> np.ndarray:
-    """Steps from a lattice start at time 0: first min(spacing^2, first_read / 10), then :func:`hybrid_grid`."""
-    return np.concatenate(([0.0], hybrid_grid(min(spacing**2, first_read / 10.0), t_end, dt)))
+    """Steps from a lattice start at time 0: first min(spacing^2, first_read / 10), then :func:`hybrid_grid`.
+
+    The first step is at least the smallest normal float, on which the geometric growth cannot stall; a
+    ``t_end`` below that is one step.
+    """
+    start = max(min(spacing**2, first_read / 10.0), sys.float_info.min)
+    return np.concatenate(([0.0], hybrid_grid(start, t_end, dt) if start < t_end else [t_end]))
 
 
 def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
     _check_step(dt)
     return np.linspace(0.0, t_end, max(2, int(round(t_end / dt)) + 1))
+
+
+def z_score(diff: float, spread: float) -> float:
+    """diff / spread; 0 when diff is 0, and infinite with the sign of diff when only the spread is 0."""
+    return 0.0 if diff == 0 else (math.copysign(math.inf, diff) if spread == 0 else diff / spread)
 
 
 def _report(label, lhs, rhs, one_sided=False, approx=False) -> ComparisonReport:
@@ -161,7 +174,7 @@ def _report(label, lhs, rhs, one_sided=False, approx=False) -> ComparisonReport:
     rhs_mean = rhs.mean if isinstance(rhs, MCEstimate) else float(rhs)
     spread = math.sqrt(lhs.stderr**2 + (rhs.stderr**2 if isinstance(rhs, MCEstimate) else 0.0))
     diff = lhs.mean - rhs_mean
-    z = 0.0 if diff == 0 else (math.copysign(math.inf, diff) if spread == 0 else diff / spread)
+    z = z_score(diff, spread)
     if one_sided:
         verdict = "one_sided_ok" if diff >= -3.0 * spread else "inconsistent"
     else:
@@ -386,15 +399,6 @@ def _never_charged(system: ReplicaFlow, grid, reads, window, params: BranchingPa
     return np.exp(-exposure)
 
 
-def _occupation_lhs_no_branching(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    flow = init_ensemble(cfg.measure(), cfg.spacing, count, boundary=FlowBoundary("absorbing", cfg.window))
-    charged = flow.charged(*cfg.window)
-    for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
-        flow.step(float(dt), rng)
-        charged |= flow.charged(*cfg.window)
-    return (~charged).astype(float)
-
-
 def _occupation_lhs_branch_batch(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
     grid = _lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)
     system = init_ensemble(cfg.measure(), cfg.spacing, count)
@@ -403,8 +407,9 @@ def _occupation_lhs_branch_batch(cfg: OccupationDualityConfig, rng: np.random.Ge
 
 def occupation_duality_check(cfg: OccupationDualityConfig, seed: int, threads: int = 1) -> ComparisonReport:
     rhs = reflected_gap_vacancy_exact(cfg.c, cfg.t)
-    if cfg.params.gamma == 0.0:
-        lhs = _mc_batched(partial(_occupation_lhs_no_branching, cfg), cfg.n, seed, stream=0, threads=threads)
+    if cfg.params.gamma == 0.0:  # the absorbing reader with the window as barriers: a frozen cluster never leaves
+        absorbing = AbsorbingExtinctionConfig(cfg.window, cfg.c, cfg.t, cfg.n, cfg.margin, cfg.spacing, cfg.dt)
+        lhs = _mc_batched(partial(_absorbing_lhs, absorbing), cfg.n, seed, stream=0, threads=threads)
         return _report("occupation_duality_equality", lhs, rhs)
     lhs = _mc_batched(partial(_occupation_lhs_branch_batch, cfg), cfg.n, seed, stream=0, threads=threads)
     return _report("occupation_duality_bound", lhs, rhs, one_sided=True, approx=cfg.params.beta < 1.0)

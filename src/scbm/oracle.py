@@ -179,7 +179,7 @@ def _poisson(mu: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if mu == 0.0 or tol >= 1.0:  # P(N > 0) = 1 - exp(-mu) <= tol already
         return np.array([math.exp(-mu)]), np.array([-math.expm1(-mu)])
-    floor = math.log(tol) - 45.0
+    floor = math.log(tol or math.ulp(0.0)) - 45.0  # a tolerance that underflowed to 0 reads as the least float
     size = int(mu + 10.0 * math.sqrt(mu)) + 64
     while True:
         if size > _POISSON_TERMS:

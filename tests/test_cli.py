@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from scbm.cli import CSV_HEADER, SUBCOMMANDS, main
-from scbm.config import ConfigError, apply_schema, parse_config
+from scbm.config import ANY, ConfigError, apply_schema, parse_config
 
 FAST_VERIFY = """
 [run]
@@ -69,11 +69,11 @@ class TestConfigParsing:
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="mystery"):
-            apply_schema("s", {"mystery": "1"}, {"known": ("int", 0)})
+            apply_schema("s", {"mystery": "1"}, {"known": ("int", 0, ANY)})
 
     def test_bad_value_reported(self):
         with pytest.raises(ConfigError, match="known"):
-            apply_schema("s", {"known": "abc"}, {"known": ("int", 0)})
+            apply_schema("s", {"known": "abc"}, {"known": ("int", 0, ANY)})
 
 
 class TestCliRuns:
@@ -356,6 +356,31 @@ class TestCliErrors:
             ("verify-duality", "array_x = 1,1,1,1,1,1,1,1,1,1", "array_x"),
             ("verify-duality", "array_y = 0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,2.5", "array_y"),
             ("verify-duality", "array_x = 1,1,1,3", "array_x"),
+            # flow runs above FLOW_STEPS grid steps or LATTICE_POINTS start points, refused before any check runs
+            ("survival", "dt = 1e-9", "dt"),
+            ("survival", "horizons = 1,1e300", "horizons"),
+            ("scbm-duality", "laplace_t = 1e300", "laplace_t"),
+            ("scbm-duality", "vacancy_s2 = 1e300", "vacancy_s2"),
+            ("scbm-duality", "absorbing_t = 1e12", "absorbing_t"),
+            ("scbm-duality", "occupation_t = 1e12", "occupation_t"),
+            ("scbm-duality", "laplace_mu_lo = -1e300", "laplace_mu_lo"),
+            ("scbm-duality", "vacancy_L = 1e9", "vacancy_L"),
+            # values that overflowed or raised inside a check
+            ("csbp-check", "sampler_x = 1e300", "sampler_x"),
+            ("scbm-duality", "absorbing_c = 1e300", "absorbing_c"),
+            ("scbm-duality", "occupation_c = 1e300", "occupation_c"),
+            ("survival", "g = power:1e300", "g"),
+            ("integral-test", "series_n = 710", "series_n"),
+            ("integral-test", "series_n = 1000000000", "series_n"),
+            ("survival", "beta = 0", "beta"),
+            ("survival", "beta = 2", "beta"),
+            ("survival", "gamma = nan", "gamma"),
+            ("csbp-check", "beta = 0", "beta"),
+            ("csbp-check", "beta = 2", "beta"),
+            ("csbp-check", "gamma = nan", "gamma"),
+            ("integral-test", "beta = 0", "beta"),
+            ("integral-test", "beta = 2", "beta"),
+            ("integral-test", "gamma = nan", "gamma"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, line, key):
@@ -367,6 +392,30 @@ class TestCliErrors:
             assert f"for '{key}'" in err
         assert not (tmp_path / "o").exists()
 
+
+    @pytest.mark.parametrize("line, key", [("beta = 0", "beta"), ("beta = 2", "beta"), ("gamma = nan", "gamma")])
+    def test_duality_branching_value_names_key(self, tmp_path, capsys, line, key):
+        # the case list above accepts any scbm-duality message holding the key; these must name it as the key
+        cfg = _write(tmp_path, f"[scbm-duality]\n{line}\n")
+        assert main(["scbm-duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"for '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, lines, name",
+        [
+            # at sampler_t = 1e300 every draw is 0
+            ("csbp-check", "sampler_t = 1e300\nsampler_n = 1000\nentrance_n = 100", "mean_z"),
+            # both block draws are 0, against a closed form of 0.082
+            ("integral-test", "block_n = 2", "block_survival_mc_z"),
+        ],
+    )
+    def test_zero_stderr_row_fails(self, tmp_path, command, lines, name):
+        # an estimate with no spread off its target reads z = -inf, the rule of harness._report, and fails
+        cfg = _write(tmp_path, f"[run]\nseed = 7\n[{command}]\n{lines}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        rows = [line.split(",") for line in (tmp_path / "o" / f"{command}.csv").read_text().splitlines()]
+        row = next(row for row in rows if row[3] == name)
+        assert (row[6], row[7], row[8]) == ("-inf", "0", "fail")
 
     @pytest.mark.parametrize(
         "flags, key", [(["--seed", "-1"], "seed"), (["--threads", "0"], "threads"), (["--threads", "-1"], "threads")]
@@ -388,9 +437,9 @@ def _schema_default(type_name, default) -> str:
 
 def _schema_table(command: str) -> str:
     """The README table of one config section, rebuilt from its schema dict."""
-    lines = [f"Section `[{command}]`:", "", "| key | type | default |", "|-----|------|---------|"]
-    for key, (type_name, default) in SUBCOMMANDS[command][0].items():
-        lines.append(f"| `{key}` | {type_name} | `{_schema_default(type_name, default)}` |")
+    lines = [f"Section `[{command}]`:", "", "| key | type | default | domain |", "|-----|------|---------|--------|"]
+    for key, (type_name, default, domain) in SUBCOMMANDS[command][0].items():
+        lines.append(f"| `{key}` | {type_name} | `{_schema_default(type_name, default)}` | {domain.what} |")
     return "\n".join(lines) + "\n"
 
 
