@@ -537,15 +537,13 @@ def _run_integral_test(settings, rows, threads):
 SURVIVAL_SCHEMA = {
     "gamma": ("float", 2.0, GAMMA),
     "beta": ("float", 1.0, BETA),
-    "truncation": ("float", 50.0, NONNEGATIVE),
-    "horizons": ("floats", (4.0, 16.0, 64.0), POSITIVE),
-    "replicas": ("int", 2000, REPLICAS),
+    "truncation": ("float", SurvivalConfig.truncation, NONNEGATIVE),
+    # past 2**53 a horizon plus 1 rounds to itself, and the chart cannot frame a single horizon
+    "horizons": ("floats", SurvivalConfig.horizons, Domain(lambda v: 0 < v <= 2.0**53, "a positive horizon of at most 2**53")),
+    "replicas": ("int", SurvivalConfig.replicas, REPLICAS),
     "g": ("str", "constant:1", GROWTH),
     "g_alt": ("str", "", Domain(lambda v: v == "" or _growth(v) is not None, "empty, or a g spec")),
-    "dt": ("float", 0.1, POSITIVE),
-    # the rule of engine.init_ensemble: the first step lasts spacing**2
-    "spacing": ("float", 0.05, Domain(lambda v: 0 < v and 0 < v * v < math.inf, "a positive spacing with a positive finite square")),
-    "batch": ("int", 32, Domain(lambda v: v >= 1, "batch >= 1")),
+    "batch": ("int", SurvivalConfig.batch, Domain(lambda v: v >= 1, "batch >= 1")),
     "expect_decreasing": ("bool", False, ANY),
     "expect_domination": ("bool", False, ANY),
 }
@@ -568,8 +566,6 @@ def _run_survival(settings, rows, threads):
                 truncation=settings["truncation"],
                 horizons=tuple(h),
                 replicas=settings["replicas"],
-                spacing=settings["spacing"],
-                dt=settings["dt"],
                 batch=settings["batch"],
             )
             for g in [g_main] + ([g_alt] if g_alt is not None else [])

@@ -7,7 +7,8 @@ discrete series ``4 g(t_{n+1}) u_{t_n}(inf)`` along the exponential time
 ladder, the tripling-time sequences with their interval invariants, the
 closed-form survival probability of one annular block, and finite-horizon
 window-survival ensembles of the full measure-valued process.
-Survival ensembles draw the flow alone and report P(window charged | flow).
+Survival ensembles read the flow through its dual, a coalescing pair run
+backward from the window's edges, and report P(window charged | the pair).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .branching import FRAGMENTS_RULE, BranchingParams, cumulant_limit, fragments_fit, sample_transition
-from .engine import LATTICE_POINTS, MeasureSpec, init_ensemble
-from .harness import FLOW_STEPS, MCEstimate, _lattice_grid, _mc_batched, _run_batches
+from .flow import coalescing_pair
+from .harness import MCEstimate, _mc_batched, _run_batches
 
 __all__ = [
     "GrowthFunction",
@@ -471,31 +472,22 @@ class SurvivalConfig:
 
     params: BranchingParams
     g: GrowthFunction
-    truncation: float
-    horizons: tuple[float, ...]
-    replicas: int
-    spacing: float = 0.05
-    dt: float = 0.1
+    truncation: float = 50.0
+    horizons: tuple[float, ...] = (4.0, 16.0, 64.0)
+    replicas: int = 2000
     batch: int = 32
 
     def __post_init__(self) -> None:
-        h, spacing = self.horizons, self.spacing
+        h = self.horizons
         _need(self.params.gamma > 0, "gamma", "gamma > 0: survival ensembles read branching masses")
         _need(0 <= self.truncation < math.inf, "truncation", "a finite truncation >= 0")
         ok = bool(h) and 0 < h[0] and h[-1] < math.inf and all(a < b for a, b in zip(h, h[1:]))
         _need(ok, "horizons", "strictly increasing positive finite horizons")
         _need(self.replicas >= 2, "replicas", "at least two replicas")
         _need(self.batch >= 1, "batch", "batch >= 1")
-        _need(0 < self.dt < math.inf, "dt", "a positive finite time")
-        key = "horizons" if h[-1] / SurvivalConfig.dt > FLOW_STEPS else "dt"  # horizons too long at the default dt
-        _need(h[-1] / self.dt <= FLOW_STEPS, key, f"at most {FLOW_STEPS} flow steps of dt up to the last horizon")
-        ok = fragments_fit(self.params, h[-1], 2 * self.truncation, min(self.batch, self.replicas))
-        _need(ok, "horizons", f"a last horizon whose alive_at_end draws keep within {FRAGMENTS_RULE}")
-        # the rule of engine.init_ensemble, checked here before anything is allocated
-        _need(0 < spacing and 0 < spacing * spacing < math.inf, "spacing", "a positive spacing with a positive finite square")
-        points = (2 * self.truncation / spacing + 1) * min(self.batch, self.replicas)  # 64,032 at the defaults
-        need = f"(2 * truncation / spacing + 1) * min(batch, replicas) <= {LATTICE_POINTS} lattice points per batch"
-        _need(points <= LATTICE_POINTS, "spacing", need)
+        fits = partial(fragments_fit, self.params, x=2 * self.truncation, size=min(self.batch, self.replicas))
+        key = "horizons" if fits(SurvivalConfig.horizons[-1]) else "truncation"  # too much mass even at the default
+        _need(fits(h[-1]), key, f"a truncation and last horizon whose alive_at_end draws keep within {FRAGMENTS_RULE}")
 
 
 @dataclass(frozen=True)
@@ -503,43 +495,36 @@ class SurvivalResult:
     horizons: tuple[float, ...]
     fractions: tuple[float, ...]
     stderrs: tuple[float, ...]
-    replicas: int
-    seed: int
     alive_at_end: int
     g_label: str
 
 
-def _survival_grid(cfg: SurvivalConfig) -> np.ndarray:
-    base = _lattice_grid(cfg.spacing, cfg.horizons[0], float(cfg.horizons[-1]), cfg.dt)
-    return np.unique(np.concatenate((base, np.asarray(cfg.horizons, dtype=float))))
-
-
 def _survival_batch(cfg: SurvivalConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Per replica: 1 - exp(-u_h(inf) M_h) per horizon h, M_h the start mass in the window, and an alive flag."""
-    mu = MeasureSpec(intervals=((-cfg.truncation, cfg.truncation),) if cfg.truncation > 0 else ())
-    grid = _survival_grid(cfg)
-    system = init_ensemble(mu, cfg.spacing, count)
-    horizon_set = {float(h): i for i, h in enumerate(cfg.horizons)}
-    out = np.zeros((count, len(cfg.horizons) + 1))
-    for k, dt in enumerate(np.diff(grid)):
-        system.step(float(dt), rng)
-        t = float(grid[k + 1])
-        if t in horizon_set:
-            radius = float(cfg.g(t))
-            out[:, horizon_set[t]] = -np.expm1(-cumulant_limit(cfg.params, t) * system.window_mass(-radius, radius))
-    total = np.bincount(system.replica, weights=system.mass, minlength=count)
-    out[:, -1] = sample_transition(cfg.params, float(cfg.horizons[-1]), total, rng) > 0
+    """Per replica: 1 - exp(-u_h(inf) M_h) per horizon h, M_h the start mass in the window, and an alive flag.
+
+    The starts carried into [-g(h), g(h)] by time h span the interval between
+    a coalescing pair run backward over h from -g(h) and g(h) (empty once it
+    merged); M_h is its length within [-L, L].  The total mass stays 2L.
+    """
+    L = cfg.truncation
+    out = np.empty((count, len(cfg.horizons) + 1))
+    for i, h in enumerate(cfg.horizons):
+        radius = float(cfg.g(h))
+        lo, hi = coalescing_pair(-radius, radius, h, rng, count)
+        mass = np.maximum(np.minimum(hi, L) - np.maximum(lo, -L), 0.0)
+        out[:, i] = -np.expm1(-cumulant_limit(cfg.params, h) * mass)
+    out[:, -1] = sample_transition(cfg.params, float(cfg.horizons[-1]), np.full(count, 2.0 * L), rng) > 0
     return out
 
 
 def survival_experiment(cfg: SurvivalConfig, seed: int, threads: int = 1) -> SurvivalResult:
     """Window-survival fractions per horizon over a replica ensemble.
 
-    Each fraction averages conditional probabilities given the flow.
-    Deterministic given (config, seed): replica batch i uses the stream
-    (seed, 0, i) and the growth function and branching law only enter at
-    read-out time, so ensembles with shared seeds are driven by identical
-    paths (pointwise window monotonicity transfers to the reported fractions).
+    Each fraction averages P(window charged | flow), with one backward pair
+    step per replica and horizon.  Deterministic given (config, seed): batch
+    i uses the stream (seed, 0, i), and neither g nor the branching law
+    changes a draw, so with a shared seed a wider window charges at least as
+    often in every replica (pointwise monotonicity carries to the fractions).
     """
     cfg.g.validate(0.0, float(cfg.horizons[-1]))
     table = _run_batches(partial(_survival_batch, cfg), cfg.replicas, seed, 0, threads, cfg.batch)
@@ -550,8 +535,6 @@ def survival_experiment(cfg: SurvivalConfig, seed: int, threads: int = 1) -> Sur
         horizons=tuple(float(h) for h in cfg.horizons),
         fractions=tuple(float(f) for f in fractions),
         stderrs=tuple(float(s) for s in stderrs),
-        replicas=n,
-        seed=seed,
         alive_at_end=int(table[:, -1].sum()),
         g_label=cfg.g.label,
     )

@@ -36,6 +36,7 @@ import numpy as np
 __all__ = [
     "FlowBoundary",
     "ReplicaFlow",
+    "coalescing_pair",
     "step_positions",
 ]
 
@@ -180,6 +181,24 @@ def step_positions(
         return _resolve_clusters(proposals, new_frozen, merge, replica)
     vals, _, ids, reps = _resolve_clusters(proposals, None, merge, replica)
     return vals, frozen[: len(vals)], ids, reps
+
+
+def coalescing_pair(lo: float, hi: float, t: float, rng: np.random.Generator, size: int):
+    """Positions ``(x, y)`` at time ``t`` of ``size`` coalescing pairs from ``lo`` <= ``hi``, in one exact step.
+
+    X runs free, and Y free until it meets X: the pair merged (``y == x``) iff
+    Y'_t <= X_t or U < exp(-(hi - lo)(Y'_t - X_t)/t).  The draws, 2 * ``size``
+    normals then ``size`` uniforms, do not depend on ``lo`` and ``hi``, so
+    under the same draws a wider pair ends wider and merges only if the narrower one does.
+    """
+    x, y = rng.normal(0.0, math.sqrt(t), (2, size))
+    x += lo
+    y += hi
+    gap = y - x
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap bridges with probability 0
+        bridge = np.exp(-(hi - lo) * gap / t)
+    merged = (rng.random(size) < bridge) | (gap <= 0.0)
+    return x, np.where(merged, x, y)
 
 
 def _resolve_clusters(proposals: np.ndarray, frozen: np.ndarray | None, merge: np.ndarray, replica: np.ndarray):

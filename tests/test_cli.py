@@ -51,6 +51,10 @@ smoke_n = 20
 """
 
 
+# keys a section no longer has: a config that sets one exits 2 naming it as unknown
+DELETED_KEYS = {("survival", "dt"), ("survival", "spacing")}
+
+
 def _write(tmp_path: Path, text: str) -> str:
     path = tmp_path / "config.ini"
     path.write_text(text, encoding="utf-8")
@@ -127,6 +131,25 @@ class TestCliRuns:
         assert (out1 / "survival.csv").read_bytes() == (out2 / "survival.csv").read_bytes()
         assert (out1 / "survival.svg").read_bytes() == (out2 / "survival.svg").read_bytes()
 
+    def test_survival_thread_count_invariant_with_close_windows(self, tmp_path):
+        # g_alt barely above g: shared draws still give the wider window at least the same fraction
+        cfg = _write(tmp_path, FAST_SURVIVAL.replace("g_alt = power:1", "g_alt = constant:1.001"))
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        assert main(["survival", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["survival", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+        csv = (out1 / "survival.csv").read_bytes()
+        assert csv == (out2 / "survival.csv").read_bytes()
+        assert b",domination,constant:1.001>=constant:1,,true,,pass" in csv
+
+    @pytest.mark.parametrize("horizons", ["1,1e15", "9007199254740992"])
+    def test_survival_takes_long_horizons(self, tmp_path, horizons):
+        # one exact pair step per horizon: no time grid, so no step budget; only the chart's 2**53 bounds a horizon
+        cfg = _write(tmp_path, f"[run]\nseed = 3\n[survival]\nhorizons = {horizons}\nreplicas = 20\n")
+        assert main(["survival", "--config", cfg, "--out", str(tmp_path / "out"), "--svg"]) == 0
+        rows = [r.split(",") for r in (tmp_path / "out" / "survival.csv").read_text().splitlines()[1:]]
+        assert float(rows[-1][5]) == pytest.approx(float(horizons.split(",")[-1]), rel=1e-9)
+        assert 0.0 <= float(rows[-1][6]) < 1e-6
+
     @pytest.mark.parametrize("growth, last", [("constant:1", 0), ("cappedexp:100", 3)])
     def test_block_rows_skipped_when_growth_exhausted(self, tmp_path, growth, last):
         cfg = _write(tmp_path, f"[integral-test]\ng = {growth}\nblock_index = 5\nseries_n = 3\n")
@@ -162,7 +185,6 @@ seed = 13
 [survival]
 beta = 0.5
 truncation = 1
-spacing = 0.05
 horizons = 0.5,1
 replicas = 8
 batch = 4
@@ -233,18 +255,24 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "command, line, key",
         [
-            ("survival", "dt = 0", "dt"),
-            ("survival", "dt = -0.1", "dt"),
             ("survival", "batch = 0", "batch"),
             ("survival", "replicas = 1", "replicas"),
+            # keys of the deleted survival lattice flow, even at their old defaults: refused as unknown keys
+            ("survival", "dt = 0.1", "dt"),
+            ("survival", "spacing = 0.05", "spacing"),
+            ("survival", "dt = 0", "dt"),
+            ("survival", "dt = -0.1", "dt"),
+            ("survival", "dt = 1e-9", "dt"),
             ("survival", "spacing = 0", "spacing"),
             ("survival", "spacing = inf", "spacing"),
             ("survival", "spacing = -0.05", "spacing"),
-            # spacing squared underflows to 0 or overflows; the lattice would need 1e11 or 4e13 points
             ("survival", "spacing = 1e-300", "spacing"),
             ("survival", "spacing = 1e200", "spacing"),
             ("survival", "spacing = 1e-9", "spacing"),
-            ("survival", "truncation = 1e12", "spacing"),
+            # the alive_at_end draws of 32 replicas would hold about 4e10 fragments: the truncation is too
+            # large at the default horizons, and the horizon too short at the default truncation
+            ("survival", "truncation = 1e12\nbeta = 0.5", "truncation"),
+            ("survival", "horizons = 0.01\nbeta = 0.5", "horizons"),
             ("survival", "expect_domination = true", "expect_domination"),
             ("survival", "expect_decreasing = true\nhorizons = 4", "expect_decreasing"),
             ("survival", "[run]\nseed = -1", "seed"),
@@ -357,7 +385,6 @@ class TestCliErrors:
             ("verify-duality", "array_y = 0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,2.5", "array_y"),
             ("verify-duality", "array_x = 1,1,1,3", "array_x"),
             # flow runs above FLOW_STEPS grid steps or LATTICE_POINTS start points, refused before any check runs
-            ("survival", "dt = 1e-9", "dt"),
             ("survival", "horizons = 1,1e300", "horizons"),
             ("scbm-duality", "laplace_t = 1e300", "laplace_t"),
             ("scbm-duality", "vacancy_s2 = 1e300", "vacancy_s2"),
@@ -388,7 +415,9 @@ class TestCliErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert key in err
-        if command != "scbm-duality":
+        if (command, key) in DELETED_KEYS:
+            assert f"unknown config key '{key}'" in err
+        elif command != "scbm-duality":
             assert f"for '{key}'" in err
         assert not (tmp_path / "o").exists()
 

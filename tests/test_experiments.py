@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scbm.branching import BranchingParams, cumulant_limit
+from scbm.engine import MeasureSpec, init_ensemble
 from scbm.experiments import (
     CappedExponentialGrowth,
     ConstantGrowth,
@@ -11,6 +12,7 @@ from scbm.experiments import (
     SequenceTriple,
     StaircaseGrowth,
     SurvivalConfig,
+    _survival_batch,
     block_survival_closed_form,
     block_survival_mc,
     build_sequences,
@@ -20,6 +22,7 @@ from scbm.experiments import (
     series_eval,
     survival_experiment,
 )
+from scbm.harness import _lattice_grid
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
 
@@ -234,8 +237,8 @@ class TestSurvival:
 
     @pytest.mark.parametrize("beta", [1.0, 0.5])
     def test_alive_at_end_matches_exact_extinction(self, beta):
-        # the lattice carries mass 2L exactly, and a replica's total mass is one
-        # transition from 2L: alive at T with probability 1 - exp(-2L u_T(inf))
+        # a replica's total mass is one transition from 2L: alive at T with
+        # probability 1 - exp(-2L u_T(inf))
         params = BranchingParams(gamma=2.0, beta=beta)
         cfg = SurvivalConfig(params=params, g=ConstantGrowth(1.0), truncation=4.0, horizons=(1.0, 4.0), replicas=2000)
         res = survival_experiment(cfg, seed=17)
@@ -243,9 +246,59 @@ class TestSurvival:
         se = math.sqrt(p * (1.0 - p) / cfg.replicas)
         assert abs(res.alive_at_end / cfg.replicas - p) <= 3 * se, f"z={(res.alive_at_end / cfg.replicas - p) / se:+.2f}"
 
-    def test_bad_spacing(self):
-        with pytest.raises(ValueError, match="spacing"):
-            SurvivalConfig(params=P21, g=ConstantGrowth(1.0), truncation=1.0, horizons=(1.0,), replicas=10, spacing=0.0)
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_rows_match_the_closed_form(self, beta):
+        # the defaults (L = 50, horizons 4, 16, 64, 2000 replicas): the truncation is over 4 SD of
+        # the pair's spread away, so each row is 1 - E exp(-u_h(inf) D) with D the untruncated gap
+        params = BranchingParams(gamma=2.0, beta=beta)
+        res = survival_experiment(SurvivalConfig(params=params, g=ConstantGrowth(1.0)), seed=2201)
+        for h, frac, se in zip(res.horizons, res.fractions, res.stderrs):
+            exact = _charged_exact(cumulant_limit(params, h), 2.0, h)
+            assert abs(frac - exact) <= 3.0 * se, f"h={h}: z={(frac - exact) / se:+.2f}"
+
+    def test_rows_match_the_forward_lattice_reader(self):
+        # the end-to-end check of the measure-valued process: the lattice flow forward from
+        # Lebesgue mass on [-4, 4] (spacing 0.05, dt 0.1), read through window_mass
+        horizons, n = (1.0, 2.0), 4000
+        rng = np.random.default_rng(2202)
+        grid = np.unique(np.concatenate((_lattice_grid(0.05, horizons[0], horizons[-1], 0.1), horizons)))
+        flow = init_ensemble(MeasureSpec(intervals=((-4.0, 4.0),)), 0.05, n)
+        forward = []
+        for dt, t in zip(np.diff(grid), grid[1:]):
+            flow.step(float(dt), rng)
+            if t in horizons:
+                forward.append(-np.expm1(-cumulant_limit(P21, float(t)) * flow.window_mass(-1.0, 1.0)))
+        cfg = SurvivalConfig(params=P21, g=ConstantGrowth(1.0), truncation=4.0, horizons=horizons, replicas=20_000)
+        res = survival_experiment(cfg, seed=2203)
+        for h, values, frac, se in zip(horizons, forward, res.fractions, res.stderrs):
+            pooled = math.hypot(values.std(ddof=1) / math.sqrt(n), se)
+            assert abs(frac - values.mean()) <= 3.0 * pooled, f"h={h}: z={(frac - values.mean()) / pooled:+.2f}"
+
+    def test_domination_is_pointwise(self):
+        # a window barely wider, under the same draws: no replica charges it less often
+        base = dict(params=P21, truncation=10.0, horizons=(1.0, 4.0, 16.0))
+        narrow = _survival_batch(SurvivalConfig(g=ConstantGrowth(1.0), **base), np.random.default_rng(2204), 5000)
+        wide = _survival_batch(SurvivalConfig(g=ConstantGrowth(1.001), **base), np.random.default_rng(2204), 5000)
+        assert np.all(wide >= narrow)
+        assert np.any(wide[:, :-1] > narrow[:, :-1])
+        assert np.array_equal(wide[:, -1], narrow[:, -1])
+
+
+def _charged_exact(lam: float, d: float, h: float) -> float:
+    """1 - E exp(-lam D), D the gap at h of coalescing paths started d apart (0 once merged).
+
+    P(merged) = erfc(d / (2 sqrt h)); unmerged, D has density phi_2h(D - d) - phi_2h(D + d) on D > 0.
+    Direct form, fine while lam^2 h stays moderate.
+    """
+    s = math.sqrt(2.0 * h)
+
+    def cdf(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    vacant = math.erfc(d / (2.0 * math.sqrt(h))) + math.exp(lam * lam * h) * (
+        math.exp(-lam * d) * cdf((d - 2.0 * lam * h) / s) - math.exp(lam * d) * cdf(-(d + 2.0 * lam * h) / s)
+    )
+    return 1.0 - vacant
 
 
 class TestSeriesIntegralConsistency:

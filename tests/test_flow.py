@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from scbm.branching import BranchingParams, cumulant
 from scbm.engine import MeasureSpec
-from scbm.flow import FlowBoundary, ReplicaFlow, _region_ids, _resolve_clusters, step_positions
+from scbm.flow import FlowBoundary, ReplicaFlow, _region_ids, _resolve_clusters, coalescing_pair, step_positions
 from scbm.harness import LaplaceDualityConfig, ReflectedLaplaceConfig, _level_integrals, _levels
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
@@ -99,6 +99,57 @@ class TestCoalescingPaths:
         bnd = FlowBoundary("reflecting", (0.0,))
         _, merged = _paths((-0.2, 0.2), 200, rng, 50, 1.0, boundary=bnd)
         assert not np.any(merged)
+
+
+class TestCoalescingPair:
+    """One exact step of two coalescing paths, against its law and against the grid flow."""
+
+    def test_merge_probability_and_mean_gap(self):
+        # P(merged by t) = erfc(d / (2 sqrt t)), and the gap, 0 once merged, is a martingale: E = d
+        d, t, n = 1.0, 1.0, 100_000
+        x, y = coalescing_pair(-0.5, 0.5, t, np.random.default_rng(2101), n)
+        gap = y - x
+        p = math.erfc(d / (2.0 * math.sqrt(t)))
+        assert abs((gap == 0.0).mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+        assert abs(gap.mean() - d) <= 3.0 * gap.std(ddof=1) / math.sqrt(n)
+        assert np.all(gap >= 0.0)
+
+    def test_agrees_with_the_grid_flow(self):
+        # two clusters stepped by step_positions at dt = t / 200: merged share, mean gap and
+        # P(gap > d) within 3 combined SE of the one-step pair, whose draws are cheap enough
+        # to make it the near-noiseless side
+        d, t, n = 1.0, 1.0, 20_000
+        values, _ = _paths((-0.5, 0.5), n, np.random.default_rng(2102), 200, t)
+        grid = values[-1, :, 1] - values[-1, :, 0]
+        x, y = coalescing_pair(-0.5, 0.5, t, np.random.default_rng(2103), 50 * n)
+        exact = y - x
+        for read in (lambda g: g == 0.0, lambda g: g, lambda g: g > d):
+            a, b = read(grid).astype(float), read(exact).astype(float)
+            se = math.hypot(a.std(ddof=1) / math.sqrt(len(a)), b.std(ddof=1) / math.sqrt(len(b)))
+            assert abs(a.mean() - b.mean()) <= 3.0 * se, (a.mean() - b.mean()) / se
+
+    @pytest.mark.parametrize("r, wider", [(1.0, 1.001), (0.5, 3.0), (0.0, 1e-9), (2.0, 2.0)])
+    def test_wider_start_never_ends_narrower(self, r, wider):
+        # common draws: the wider pair contains the narrower one, and merges only if it does
+        n, t = 50_000, 4.0
+        x, y = coalescing_pair(-r, r, t, np.random.default_rng(2104), n)
+        xw, yw = coalescing_pair(-wider, wider, t, np.random.default_rng(2104), n)
+        assert np.all(yw - xw >= y - x)
+        assert np.all((y > x) <= (xw <= x) & (yw >= y))
+        assert np.all((yw == xw) <= (y == x))
+
+    def test_draws_do_not_depend_on_the_starts(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        coalescing_pair(-1.0, 1.0, 2.0, a, 10)
+        coalescing_pair(-7.0, 30.0, 2.0, b, 10)
+        assert a.random() == b.random()
+
+    def test_equal_starts_merge_and_huge_gaps_do_not(self):
+        rng = np.random.default_rng(6)
+        x, y = coalescing_pair(0.0, 0.0, 1.0, rng, 1000)
+        assert np.array_equal(x, y)
+        x, y = coalescing_pair(-1e300, 1e300, 1.0, rng, 1000)
+        assert np.all(y - x > 1e300)
 
 
 class TestReplicaIsolation:
