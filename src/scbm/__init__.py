@@ -3,7 +3,7 @@
 Subpackage map:
 
 * :mod:`scbm.branching` - critical stable branching semigroup and samplers
-* :mod:`scbm.lattice` - coalescing random walks with boundary variants
+* :mod:`scbm.lattice` - coalescing random walks with boundary variants, states as position tuples
 * :mod:`scbm.oracle` - exact finite-state duality verification
 * :mod:`scbm.flow` - replicas of coalescing Brownian paths with barriers
 * :mod:`scbm.engine` - the measure-valued process built from excursions
@@ -28,7 +28,7 @@ from .branching import (
 from .engine import MeasureSpec, init_ensemble
 from .flow import FlowBoundary, ReplicaFlow
 from .harness import ComparisonReport, MCEstimate
-from .lattice import BoundarySpec, IntervalPartition, LatticeState, coalesce_state, simulate_walk
+from .lattice import BoundarySpec, simulate_walk
 
 __version__ = "0.1.0"
 
@@ -46,9 +46,6 @@ __all__ = [
     "MCEstimate",
     "ComparisonReport",
     "BoundarySpec",
-    "IntervalPartition",
-    "LatticeState",
-    "coalesce_state",
     "simulate_walk",
     "__version__",
 ]

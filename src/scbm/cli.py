@@ -25,6 +25,7 @@ from .branching import (
     BranchingParams,
     cumulant,
     cumulant_limit,
+    extinction_prob,
     fragments_fit,
     sample_entrance_mass,
     sample_transition,
@@ -260,7 +261,7 @@ def _run_csbp_check(settings, rows, threads):
     seed = rows.seed
     draws = sample_transition(params, t, x, _stream(seed, 1), size=n)
     frac = float(np.mean(draws == 0.0))
-    target = math.exp(-x * cumulant_limit(params, t))
+    target = extinction_prob(params, t, x)
     se = math.sqrt(max(target * (1 - target), 1e-300) / n)
     z = z_score(frac - target, se)
     rows.verdict(abs(z) <= 3, "extinction_z", f"t={t:g}", z, se)
@@ -521,7 +522,7 @@ def _run_integral_test(settings, rows, threads):
             rows.verdict(abs(z) <= 3, "block_survival_mc_z", g.label, z, est.stderr, index=idx, horizon=idx)
 
     if len(series.partial_sums) >= 2:
-        return line_chart(
+        return (
             [("partial sums", list(range(1, len(series.partial_sums) + 1)), list(series.partial_sums))],
             f"series partial sums ({g.label})",
             "term index",
@@ -591,7 +592,7 @@ def _run_survival(settings, rows, threads):
         ok = all(b >= a for a, b in zip(results[0].fractions, results[1].fractions))
         rows.verdict(ok, "domination", f"{results[1].g_label}>={results[0].g_label}", ok)
 
-    return line_chart(
+    return (
         [(res.g_label, list(res.horizons), list(res.fractions)) for res in results],
         "window survival fractions",
         "horizon",
@@ -648,7 +649,8 @@ def main(argv=None) -> int:
             if name not in known:
                 raise ConfigError(f"unknown config section [{name}]")
         rows = Rows(args.command, run["seed"])
-        svg = handler(settings, rows, run["threads"])
+        # a handler returns the arguments of its line_chart, or None; the chart is drawn only when svg is on
+        chart = handler(settings, rows, run["threads"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -657,8 +659,8 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.command}.csv"
     csv_path.write_text(CSV_HEADER + "\n" + "".join(r + "\n" for r in rows.lines), encoding="utf-8")
-    if run["svg"] and svg is not None:
-        (out_dir / f"{args.command}.svg").write_text(svg, encoding="utf-8")
+    if run["svg"] and chart is not None:
+        (out_dir / f"{args.command}.svg").write_text(line_chart(*chart), encoding="utf-8")
     print(f"wrote {csv_path}" + (" (checks failed)" if rows.failed else ""))
     return EXIT_FAILED if rows.failed else EXIT_OK
 

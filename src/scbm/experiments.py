@@ -433,10 +433,6 @@ class EscapeBounds:
     coupling: np.ndarray
     envelope_ok: np.ndarray
 
-    @property
-    def summable_tail(self) -> float:
-        return float(np.sum(np.minimum(self.block, 1.0)) + np.nansum(np.minimum(self.coupling, 1.0)))
-
 
 def escape_probability_bounds(g: GrowthFunction, triple: SequenceTriple, eps: float = 0.1) -> EscapeBounds:
     """Evaluate the path-confinement probability bounds on the built sequence."""

@@ -91,7 +91,6 @@ def step_positions(
     dt: float,
     rng: np.random.Generator,
     boundary: FlowBoundary | None = None,
-    coalesce: bool = True,
     replica: np.ndarray | None = None,
 ):
     """Advance one grid step and resolve coalescence.
@@ -154,7 +153,7 @@ def step_positions(
         proposals[newly] = hit_at[newly]
         proposals[~free] = frozen[~free]
 
-    if not coalesce or k <= 1:
+    if k <= 1:
         return proposals, new_frozen, np.arange(k), replica
 
     # pair decisions between adjacent clusters of one replica, one bridge draw

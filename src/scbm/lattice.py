@@ -1,12 +1,13 @@
 """Simple coalescing random walks on the integers and half-integers.
 
-States are canonical: positions are a nondecreasing m-tuple and the interval
-partition groups exactly the maximal runs of equal positions (particles that
-have met stay together, the lowest index of a run acting as the free
-representative).  Three boundary regimes are supported:
+A walk state is a nondecreasing tuple of positions.  Particles that have met
+share a position and stay together: the maximal runs of equal positions,
+``_blocks_of(positions)``, are the blocks, and the lowest index of a block
+acts as its free representative.  Three boundary regimes are supported:
 
 * ``free``       - every representative jumps +1/-1 at rate 1/2 each;
-* ``absorbing``  - a representative sitting on a barrier never moves again;
+* ``absorbing``  - walks live on the integers; a representative sitting on a
+  barrier never moves again;
 * ``reflecting`` - walks live on the half-integers, barriers on the integers;
   a move that would carry a representative across a barrier is suppressed,
   so a representative adjacent to a barrier moves away at rate 1/2 and its
@@ -15,88 +16,18 @@ representative).  Three boundary regimes are supported:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "IntervalPartition",
-    "LatticeState",
     "BoundarySpec",
-    "coalesce_state",
-    "partition_project",
-    "partition_lift",
     "state_moves",
     "generator_apply",
     "simulate_walk",
     "indicator_array",
 ]
-
-INTEGERS = "integers"
-HALF_INTEGERS = "half_integers"
-
-
-def _is_half_integer(v: float) -> bool:
-    return (v - math.floor(v)) == 0.5
-
-
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Partition of indices {0, ..., m-1} into consecutive blocks.
-
-    ``blocks`` holds inclusive (start, stop) index ranges in order.  The
-    number of blocks is the partition length; block minima are the free
-    representatives.
-    """
-
-    blocks: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        expected = 0
-        for start, stop in self.blocks:
-            if start != expected or stop < start:
-                raise ValueError(f"blocks must be consecutive and exhaustive, got {self.blocks}")
-            expected = stop + 1
-
-    @property
-    def length(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def size(self) -> int:
-        return self.blocks[-1][1] + 1 if self.blocks else 0
-
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(start for start, _ in self.blocks)
-
-
-@dataclass(frozen=True)
-class LatticeState:
-    """Canonical walk state: lattice tag, ordered positions, run partition."""
-
-    lattice: str
-    positions: tuple[float, ...]
-    partition: IntervalPartition
-
-    def __post_init__(self) -> None:
-        if self.lattice not in (INTEGERS, HALF_INTEGERS):
-            raise ValueError(f"unknown lattice {self.lattice!r}")
-        if any(a > b for a, b in zip(self.positions, self.positions[1:])):
-            raise ValueError(f"positions must be nondecreasing, got {self.positions}")
-        if self.partition.size != len(self.positions):
-            raise ValueError("partition does not cover the positions")
-        for start, stop in self.partition.blocks:
-            if self.positions[start] != self.positions[stop]:
-                raise ValueError("partition block spans unequal positions")
-        ok = (lambda v: float(v).is_integer()) if self.lattice == INTEGERS else _is_half_integer
-        if not all(ok(v) for v in self.positions):
-            raise ValueError(f"positions {self.positions} not on lattice {self.lattice}")
-
-    @property
-    def m(self) -> int:
-        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -141,43 +72,20 @@ def _blocks_of(positions: Sequence[float]) -> tuple[tuple[int, int], ...]:
     return tuple(blocks)
 
 
-def coalesce_state(positions: Sequence[float], lattice: str = INTEGERS) -> LatticeState:
-    """Canonicalize ordered positions into a state; ties form shared blocks."""
-    pos = tuple(float(v) for v in positions)
-    if any(a > b for a, b in zip(pos, pos[1:])):
+def _validate_against_boundary(boundary: BoundarySpec, positions: tuple[float, ...]) -> None:
+    if any(a > b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions must be nondecreasing, got {positions}")
-    return LatticeState(lattice=lattice, positions=pos, partition=IntervalPartition(_blocks_of(pos)))
-
-
-def partition_project(state: LatticeState) -> tuple[float, ...]:
-    """Positions of the free representatives (one value per block)."""
-    return tuple(state.positions[r] for r in state.partition.representatives())
-
-
-def partition_lift(partition: IntervalPartition, projected: Sequence[float], lattice: str = INTEGERS) -> LatticeState:
-    """Inverse of :func:`partition_project`: rebuild the full state."""
-    if len(projected) != partition.length:
-        raise ValueError("projected length must equal partition length")
-    full = [0.0] * partition.size
-    for (start, stop), value in zip(partition.blocks, projected):
-        for i in range(start, stop + 1):
-            full[i] = float(value)
-    return LatticeState(lattice=lattice, positions=tuple(full), partition=partition)
-
-
-def _validate_against_boundary(boundary: BoundarySpec, state: LatticeState) -> None:
     if boundary.kind == "reflecting":
-        if state.lattice != HALF_INTEGERS:
-            raise ValueError("reflected walks live on the half-integers")
-        if any(p in boundary.points for p in state.positions):
-            raise ValueError("reflected particle sits on a barrier")
+        # half-integers are off the barriers, which sit on the integers
+        if any(v % 1 != 0.5 for v in positions):
+            raise ValueError(f"reflected walks live on the half-integers, got {positions}")
     elif boundary.kind == "absorbing":
-        if state.lattice != INTEGERS:
-            raise ValueError("absorbed walks live on the integers")
+        if any(v % 1 != 0 for v in positions):
+            raise ValueError(f"absorbed walks live on the integers, got {positions}")
 
 
 def state_moves(boundary: BoundarySpec, positions: tuple[float, ...], blocks: tuple[tuple[int, int], ...]):
-    """Enumerate jump moves from a canonical state.
+    """Enumerate jump moves from the state ``positions`` with blocks ``blocks``.
 
     Returns ``(moves, outflow)`` where each move is ``(new_positions, rate)``
     with rate 1/2 and ``outflow`` is the total jump rate out of the state.
@@ -198,40 +106,34 @@ def state_moves(boundary: BoundarySpec, positions: tuple[float, ...], blocks: tu
     return moves, 0.5 * len(moves)
 
 
-def generator_apply(boundary: BoundarySpec, f: Callable[[tuple[float, ...]], float], state: LatticeState) -> float:
-    """Apply the walk generator for the given boundary to ``f`` at ``state``."""
-    _validate_against_boundary(boundary, state)
-    moves, outflow = state_moves(boundary, state.positions, state.partition.blocks)
-    fx = f(state.positions)
-    return sum(rate * f(new) for new, rate in moves) - outflow * fx
+def generator_apply(boundary: BoundarySpec, f: Callable[[tuple[float, ...]], float], positions: tuple[float, ...]) -> float:
+    """Apply the walk generator for the given boundary to ``f`` at the state ``positions``."""
+    _validate_against_boundary(boundary, positions)
+    moves, outflow = state_moves(boundary, positions, _blocks_of(positions))
+    return sum(rate * f(new) for new, rate in moves) - outflow * f(positions)
 
 
-def simulate_walk(boundary: BoundarySpec, init: LatticeState, t: float, rng: np.random.Generator) -> LatticeState:
-    """Exact event-driven draw of the walk at time ``t`` started from ``init``.
+def simulate_walk(boundary: BoundarySpec, positions: tuple[float, ...], t: float, rng: np.random.Generator) -> tuple[float, ...]:
+    """Exact event-driven draw of the walk at time ``t`` started from the state ``positions``.
 
     One exponential clock drives the whole system (total rate = sum of active
-    representative rates); after every jump equal positions are merged, which
-    is permanent.
+    representative rates); after every jump equal positions form one block,
+    which is permanent.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    _validate_against_boundary(boundary, init)
-    positions = init.positions
-    blocks = init.partition.blocks
+    _validate_against_boundary(boundary, positions)
     remaining = t
     while True:
-        moves, outflow = state_moves(boundary, positions, blocks)
+        moves, outflow = state_moves(boundary, positions, _blocks_of(positions))
         if outflow <= 0.0:
-            break
+            return positions
         wait = rng.exponential(1.0 / outflow)
         if wait > remaining:
-            break
+            return positions
         remaining -= wait
         # all moves carry equal rate 1/2: pick uniformly
-        new, _ = moves[rng.integers(len(moves))]
-        positions = new
-        blocks = _blocks_of(new)
-    return LatticeState(lattice=init.lattice, positions=positions, partition=IntervalPartition(blocks))
+        positions, _ = moves[rng.integers(len(moves))]
 
 
 def _pattern_codes(xs, ys) -> np.ndarray:

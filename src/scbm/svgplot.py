@@ -21,8 +21,10 @@ def _scale(vals, lo_pix, hi_pix):
     vmin = min(vals)
     vmax = max(vals)
     if vmax == vmin:
-        vmin -= 1.0
-        vmax += 1.0
+        # +-1 rounds away past 2**53; |v|/1024 does not, and v * (1 + 1.1/1024) stays finite to +-1.7e308
+        half = max(1.0, abs(vmin) / 1024.0)
+        vmin -= half
+        vmax += half
     pad = 0.05 * (vmax - vmin)
     vmin -= pad
     vmax += pad

@@ -205,7 +205,7 @@ class TestReplicaIsolation:
                 assert np.all(np.diff(new_values[new_replica == r]) > 0)
 
 
-def _reference_step_positions(values, frozen, dt, rng, boundary=None, coalesce=True, replica=None):
+def _reference_step_positions(values, frozen, dt, rng, boundary=None, replica=None):
     """The step as it was before the free path skipped the frozen bookkeeping, kept as the reference."""
     k = len(values)
     if replica is None:
@@ -257,7 +257,7 @@ def _reference_step_positions(values, frozen, dt, rng, boundary=None, coalesce=T
         proposals[newly] = hit_at[newly]
         proposals[~free] = frozen[~free]
 
-    if not coalesce or k <= 1:
+    if k <= 1:
         return proposals, new_frozen, np.arange(k), replica
 
     d0 = values[1:] - values[:-1]

@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 from scbm.lattice import (
     FREE,
-    HALF_INTEGERS,
-    INTEGERS,
     BoundarySpec,
-    IntervalPartition,
-    LatticeState,
-    coalesce_state,
+    _blocks_of,
     generator_apply,
     indicator_array,
-    partition_lift,
-    partition_project,
     simulate_walk,
     state_moves,
 )
@@ -26,117 +20,80 @@ ABS04 = BoundarySpec("absorbing", (0.0, 4.0))
 REFL0 = BoundarySpec("reflecting", (0.0,))
 REFL04 = BoundarySpec("reflecting", (0.0, 4.0))
 
-positions_strategy = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(
-    lambda xs: tuple(sorted(float(v) for v in xs))
-)
-
 
 class TestCoalesceState:
+    # a state is its positions; its blocks are the maximal runs of equal positions
     def test_tie_forms_block(self):
-        s = coalesce_state((0.0, 0.0, 1.0))
-        assert s.partition.blocks == ((0, 1), (2, 2))
+        assert _blocks_of((0.0, 0.0, 1.0)) == ((0, 1), (2, 2))
 
     def test_strictly_increasing_gives_singletons(self):
-        s = coalesce_state((1.0, 2.0, 5.0))
-        assert s.partition.blocks == ((0, 0), (1, 1), (2, 2))
+        assert _blocks_of((1.0, 2.0, 5.0)) == ((0, 0), (1, 1), (2, 2))
 
     def test_all_equal_single_block(self):
-        s = coalesce_state((5.0, 5.0, 5.0))
-        assert s.partition.blocks == ((0, 2),)
-        assert s.partition.length == 1
-
-    def test_idempotent(self):
-        s = coalesce_state((0.0, 0.0, 3.0))
-        again = coalesce_state(s.positions)
-        assert again == s
+        assert _blocks_of((5.0, 5.0, 5.0)) == ((0, 2),)
 
     def test_decreasing_rejected(self):
         with pytest.raises(ValueError):
-            coalesce_state((1.0, 0.0))
-
-
-class TestProjectLift:
-    def test_hand_case(self):
-        s = coalesce_state((0.0, 0.0, 1.0))
-        assert partition_project(s) == (0.0, 1.0)
-
-    def test_singletons_identity(self):
-        s = coalesce_state((1.0, 3.0, 7.0))
-        assert partition_project(s) == (1.0, 3.0, 7.0)
-
-    @settings(max_examples=300, deadline=None)
-    @given(positions_strategy)
-    def test_round_trip(self, positions):
-        s = coalesce_state(positions)
-        back = partition_lift(s.partition, partition_project(s))
-        assert back == s
-
-    def test_length_mismatch(self):
-        s = coalesce_state((0.0, 0.0))
+            generator_apply(FREE, lambda x: 0.0, (1.0, 0.0))
         with pytest.raises(ValueError):
-            partition_lift(s.partition, (1.0, 2.0))
+            simulate_walk(FREE, (1.0, 0.0), 1.0, np.random.default_rng(0))
+
+    def test_tied_particles_stay_together(self):
+        # a tie is one block: it jumps as one, so (x0 - x1)^2 neither grows in law nor in any draw
+        f = lambda x: (x[0] - x[1]) ** 2
+        assert generator_apply(FREE, f, (0.0, 0.0)) == 0.0
+        out = simulate_walk(FREE, (0.0, 0.0), 5.0, np.random.default_rng(0))
+        assert out[0] == out[1]
 
 
 class TestPartitionValidation:
-    def test_non_consecutive_rejected(self):
-        with pytest.raises(ValueError):
-            IntervalPartition(((0, 0), (2, 2)))
-
-    def test_state_block_position_mismatch(self):
-        with pytest.raises(ValueError):
-            LatticeState(INTEGERS, (0.0, 1.0), IntervalPartition(((0, 1),)))
-
     def test_half_lattice_enforced(self):
         with pytest.raises(ValueError):
-            coalesce_state((0.5, 1.0), lattice=HALF_INTEGERS)
+            generator_apply(REFL0, lambda x: 0.0, (0.5, 1.0))
+
+    def test_absorbed_walk_on_integers(self):
+        with pytest.raises(ValueError):
+            simulate_walk(ABS0, (0.5,), 1.0, np.random.default_rng(0))
 
 
 class TestGenerator:
     def test_free_linear_is_zero(self):
-        s = coalesce_state((3.0,))
-        val = generator_apply(FREE, lambda x: x[0], s)
+        val = generator_apply(FREE, lambda x: x[0], (3.0,))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_free_square_is_one(self):
-        s = coalesce_state((3.0,))
-        val = generator_apply(FREE, lambda x: x[0] ** 2, s)
+        val = generator_apply(FREE, lambda x: x[0] ** 2, (3.0,))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_reflecting_adjacent_below(self):
         # single particle at a - 1/2: only the down-move survives
-        s = coalesce_state((-0.5,), lattice=HALF_INTEGERS)
         f = lambda x: math.sin(x[0])
-        val = generator_apply(REFL0, f, s)
+        val = generator_apply(REFL0, f, (-0.5,))
         assert val == pytest.approx(0.5 * (math.sin(-1.5) - math.sin(-0.5)), abs=1e-12)
 
     def test_reflecting_doubly_occupied(self):
         # particles hugging the barrier from both sides each keep one move
-        s = coalesce_state((-0.5, 0.5), lattice=HALF_INTEGERS)
         f = lambda x: x[0] * x[1]
         expected = 0.5 * ((-1.5) * 0.5 + (-0.5) * 1.5) - 1.0 * (-0.25)
-        assert generator_apply(REFL0, f, s) == pytest.approx(expected, abs=1e-12)
+        assert generator_apply(REFL0, f, (-0.5, 0.5)) == pytest.approx(expected, abs=1e-12)
 
     def test_absorbed_particle_contributes_nothing(self):
-        s = coalesce_state((0.0,))
-        assert generator_apply(ABS0, lambda x: x[0] ** 2, s) == 0.0
+        assert generator_apply(ABS0, lambda x: x[0] ** 2, (0.0,)) == 0.0
 
     def test_absorbed_mixed_state(self):
         # one frozen at the barrier, one free at 2
-        s = coalesce_state((0.0, 2.0))
         f = lambda x: x[0] + 10.0 * x[1]
         expected = 0.5 * (10.0 * 3.0 + 10.0 * 1.0) - 1.0 * (10.0 * 2.0)
-        assert generator_apply(ABS0, f, s) == pytest.approx(expected, abs=1e-12)
+        assert generator_apply(ABS0, f, (0.0, 2.0)) == pytest.approx(expected, abs=1e-12)
 
     def test_merged_block_moves_together(self):
-        s = coalesce_state((1.0, 1.0))
-        moves, outflow = state_moves(FREE, s.positions, s.partition.blocks)
+        moves, outflow = state_moves(FREE, (1.0, 1.0), ((0, 1),))
         assert outflow == 1.0
         assert sorted(m[0] for m in moves) == [(0.0, 0.0), (2.0, 2.0)]
 
     def test_reflected_state_on_wrong_lattice_rejected(self):
-        s = coalesce_state((1.0,))
         with pytest.raises(ValueError):
-            generator_apply(REFL0, lambda x: 0.0, s)
+            generator_apply(REFL0, lambda x: 0.0, (1.0,))
 
     def test_narrow_reflecting_window_rejected(self):
         with pytest.raises(ValueError):
@@ -145,16 +102,14 @@ class TestGenerator:
 
 class TestSimulate:
     def test_time_zero_identity(self):
-        s = coalesce_state((0.0, 5.0))
-        out = simulate_walk(FREE, s, 0.0, np.random.default_rng(0))
-        assert out == s
+        out = simulate_walk(FREE, (0.0, 5.0), 0.0, np.random.default_rng(0))
+        assert out == (0.0, 5.0)
 
     def test_displacement_variance(self):
         # rate-1 symmetric walk: Var(X_t) = t
         rng = np.random.default_rng(101)
         t, n = 1.0, 100_000
-        s = coalesce_state((0.0,))
-        disp = np.array([simulate_walk(FREE, s, t, rng).positions[0] for _ in range(n)])
+        disp = np.array([simulate_walk(FREE, (0.0,), t, rng)[0] for _ in range(n)])
         var = disp.var(ddof=1)
         # variance of the sample variance for a Poisson-number of +-1 jumps
         se = math.sqrt((disp**2).var(ddof=1) / n)
@@ -163,37 +118,37 @@ class TestSimulate:
     def test_coalescence_permanent_and_order_preserved(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            state = coalesce_state((0.0, 1.0, 3.0))
-            lengths = [state.partition.length]
+            state = (0.0, 1.0, 3.0)
+            lengths = [len(set(state))]
             for _ in range(10):
                 state = simulate_walk(FREE, state, 0.3, rng)
-                assert all(a <= b for a, b in zip(state.positions, state.positions[1:]))
-                lengths.append(state.partition.length)
+                assert all(a <= b for a, b in zip(state, state[1:]))
+                lengths.append(len(set(state)))
             assert all(a >= b for a, b in zip(lengths, lengths[1:]))
 
     def test_merged_stay_equal(self):
         rng = np.random.default_rng(13)
         hits = 0
         for _ in range(200):
-            state = coalesce_state((0.0, 1.0))
+            state = (0.0, 1.0)
             merged_at = None
             for step in range(12):
                 state = simulate_walk(FREE, state, 0.5, rng)
-                if merged_at is None and state.partition.length == 1:
+                if merged_at is None and state[0] == state[1]:
                     merged_at = step
                 if merged_at is not None:
                     hits += 1
-                    assert state.positions[0] == state.positions[1]
+                    assert state[0] == state[1]
         assert hits > 0
 
     def test_absorbing_invariant(self):
         rng = np.random.default_rng(17)
         for _ in range(400):
-            state = coalesce_state((1.0,))
+            state = (1.0,)
             frozen_value = None
             for _ in range(12):
                 state = simulate_walk(ABS04, state, 0.4, rng)
-                p = state.positions[0]
+                p = state[0]
                 if frozen_value is not None:
                     assert p == frozen_value
                 elif p in (0.0, 4.0):
@@ -201,20 +156,15 @@ class TestSimulate:
 
     def test_reflecting_side_invariant(self):
         rng = np.random.default_rng(19)
-        below = coalesce_state((-0.5,), lattice=HALF_INTEGERS)
-        above = coalesce_state((0.5,), lattice=HALF_INTEGERS)
         for _ in range(5_000):
-            s1 = simulate_walk(REFL0, below, 1.0, rng)
-            assert s1.positions[0] <= -0.5
-            s2 = simulate_walk(REFL0, above, 1.0, rng)
-            assert s2.positions[0] >= 0.5
+            assert simulate_walk(REFL0, (-0.5,), 1.0, rng)[0] <= -0.5
+            assert simulate_walk(REFL0, (0.5,), 1.0, rng)[0] >= 0.5
 
     def test_reflecting_between_barriers_stays(self):
         rng = np.random.default_rng(23)
-        mid = coalesce_state((1.5, 2.5), lattice=HALF_INTEGERS)
         for _ in range(2_000):
-            s = simulate_walk(REFL04, mid, 1.0, rng)
-            assert all(0.5 <= p <= 3.5 for p in s.positions)
+            s = simulate_walk(REFL04, (1.5, 2.5), 1.0, rng)
+            assert all(0.5 <= p <= 3.5 for p in s)
 
 
 def _first_event_generator_estimate(boundary, state, f, h, n, rng):
@@ -223,20 +173,19 @@ def _first_event_generator_estimate(boundary, state, f, h, n, rng):
     Replicas with no event in [0, h] contribute exactly zero, so only the
     Binomial(n, 1 - exp(-R h)) replicas with an early event are simulated.
     """
-    moves, outflow = state_moves(boundary, state.positions, state.partition.blocks)
+    moves, outflow = state_moves(boundary, state, _blocks_of(state))
     if outflow == 0.0:
         return 0.0, 0.0
     p_event = 1.0 - math.exp(-outflow * h)
     n_events = rng.binomial(n, p_event)
-    f0 = f(state.positions)
+    f0 = f(state)
     vals = np.zeros(n)
     for i in range(n_events):
         u = rng.random()
         tau = -math.log(1.0 - u * p_event) / outflow
         new, _ = moves[rng.integers(len(moves))]
-        nxt = coalesce_state(new, lattice=state.lattice)
-        final = simulate_walk(boundary, nxt, h - tau, rng)
-        vals[i] = (f(final.positions) - f0) / h
+        final = simulate_walk(boundary, new, h - tau, rng)
+        vals[i] = (f(final) - f0) / h
     mean = vals.mean()
     se = vals.std(ddof=1) / math.sqrt(n)
     return mean, se
@@ -246,19 +195,18 @@ class TestGeneratorConsistency:
     # empirical finite-difference of the semigroup against the generator,
     # h = 1e-3, 1e6 replicas, 4 standard errors
     @pytest.mark.parametrize(
-        "boundary,positions,lattice",
+        "boundary,positions",
         [
-            (FREE, (0.0, 3.0), INTEGERS),
-            (ABS04, (0.0, 2.0), INTEGERS),
-            (REFL04, (-0.5, 0.5), HALF_INTEGERS),
+            (FREE, (0.0, 3.0)),
+            (ABS04, (0.0, 2.0)),
+            (REFL04, (-0.5, 0.5)),
         ],
     )
-    def test_semigroup_derivative(self, boundary, positions, lattice):
+    def test_semigroup_derivative(self, boundary, positions):
         rng = np.random.default_rng(29)
-        state = coalesce_state(positions, lattice=lattice)
         f = lambda x: math.sin(x[0]) + math.cos(2.0 * x[1])
-        exact = generator_apply(boundary, f, state)
-        est, se = _first_event_generator_estimate(boundary, state, f, 1e-3, 1_000_000, rng)
+        exact = generator_apply(boundary, f, positions)
+        est, se = _first_event_generator_estimate(boundary, positions, f, 1e-3, 1_000_000, rng)
         assert abs(est - exact) <= 4 * se
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbm.lattice import HALF_INTEGERS, BoundarySpec, coalesce_state, indicator_array, simulate_walk, state_moves
+from scbm.lattice import BoundarySpec, _blocks_of, indicator_array, simulate_walk, state_moves
 from scbm.oracle import (
     ORACLE_STATES,
     _array_window,
@@ -40,9 +40,9 @@ def _reference_residual(m, n, barriers, lo, hi, negative_control=False):
     y_states = list(combinations_with_replacement([v + 0.5 for v in range(lo, hi)], n))
     worst = 0.0
     for x in x_states:
-        x_moves, x_out = state_moves(x_kind, x, coalesce_state(x).partition.blocks)
+        x_moves, x_out = state_moves(x_kind, x, _blocks_of(x))
         for y in y_states:
-            y_moves, y_out = state_moves(y_kind, y, coalesce_state(y, HALF_INTEGERS).partition.blocks)
+            y_moves, y_out = state_moves(y_kind, y, _blocks_of(y))
             acc = Counter({array(x, y): y_out - x_out})
             for new, rate in x_moves:
                 acc[array(new, y)] += rate
@@ -110,10 +110,8 @@ class TestTransientLaw:
         law = transient_law(Q, Q.index(start), 0.5, tol=1e-10)
         n = 100_000
         counts = np.zeros(len(Q.states))
-        init = coalesce_state(start)
         for _ in range(n):
-            out = simulate_walk(FREE, init, 0.5, rng)
-            counts[Q.index(out.positions)] += 1
+            counts[Q.index(simulate_walk(FREE, start, 0.5, rng))] += 1
         freq = counts / n
         for idx in np.flatnonzero(law.probs > 1e-4):
             p = law.probs[idx]

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,7 +13,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in scbm.__all__ if not hasattr(scbm, name)]
+    modules = [scbm] + [importlib.import_module("scbm." + info.name) for info in pkgutil.iter_modules(scbm.__path__)]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert not missing
 
 
