@@ -38,10 +38,9 @@ LATTICE_POINTS = 2**22
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Initial measure: disjoint intervals carrying Lebesgue mass plus point atoms."""
+    """Initial measure: Lebesgue measure on disjoint intervals."""
 
     intervals: tuple[tuple[float, float], ...] = ()
-    atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         for lo, hi in self.intervals:
@@ -50,26 +49,15 @@ class MeasureSpec:
         for (_, hi), (lo2, _) in zip(self.intervals, self.intervals[1:]):
             if lo2 < hi:
                 raise ValueError("intervals must be sorted and disjoint")
-        if any(m <= 0 for _, m in self.atoms):
-            raise ValueError("atom masses must be positive")
-
-    @property
-    def total_mass(self) -> float:
-        return self.lebesgue_mass + sum(m for _, m in self.atoms)
-
-    @property
-    def lebesgue_mass(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
 
     def mass_in(self, u, v):
-        """Measure of the closed interval [u, v]; elementwise over arrays."""
+        """Measure of the interval [u, v]; elementwise over arrays."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         if np.any(v < u):
             raise ValueError("interval must be ordered")
         total = np.zeros(np.broadcast(u, v).shape)
         for lo, hi in self.intervals:
             total = total + np.maximum(0.0, np.minimum(hi, v) - np.maximum(lo, u))
-        total = total + sum(m * ((u <= loc) & (loc <= v)) for loc, m in self.atoms)
         return float(total) if total.ndim == 0 else total
 
 
@@ -82,15 +70,15 @@ def init_ensemble(
     """``count`` independent populations started at time 0 from ``mu`` on a lattice, as one replica flow.
 
     Every interval contributes equally spaced points, both edges included, at
-    most ``spacing`` apart; point atoms pass through.  Each point carries the
-    measure of its own cell as its ``mass``: h inside an interval, h/2 at its
-    edges, the atom's mass for an atom.
+    most ``spacing`` apart.  Each point carries the measure of its own cell as
+    its ``mass``: h inside an interval, h/2 at its edges.  A measure with no
+    interval starts no cluster.
     """
     if not (0 < spacing and 0 < spacing * spacing < math.inf):  # the first step lasts spacing**2 (harness._lattice_grid)
         raise ValueError("spacing must be positive with a positive finite square")
     parts = [np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / spacing)) + 1)) for lo, hi in mu.intervals]
-    points = np.concatenate(parts + [np.array([loc for loc, _ in mu.atoms], dtype=float)])
+    points = np.concatenate([np.empty(0), *parts])
     cells = [np.diff(p, prepend=p[0]) / 2 + np.diff(p, append=p[-1]) / 2 for p in parts]
-    masses = np.tile(np.concatenate(cells + [np.array([m for _, m in mu.atoms], dtype=float)]), count)
+    masses = np.tile(np.concatenate([np.empty(0), *cells]), count)
     replica = np.repeat(np.arange(count), len(points))
     return ReplicaFlow(np.tile(points, count), replica, count, boundary=boundary, masses=masses)

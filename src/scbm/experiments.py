@@ -263,9 +263,11 @@ def series_eval(g: GrowthFunction, params: BranchingParams, N: int, delta: float
     if not (0.5 < delta < 1.0):
         raise ValueError("delta must be in (1/2, 1)")
     times = np.exp(np.arange(1, N + 1, dtype=float))
-    terms = np.array([4.0 * g(float(math.e * t)) * cumulant_limit(params, float(t)) for t in times])
+    # 4 * (g u) rather than (4 g) u: the factor 4 is exact, and a finite term never overflows through 4 g
+    terms = np.array([4.0 * (g(float(math.e * t)) * cumulant_limit(params, float(t))) for t in times])
     tails = np.exp(-(times ** (2.0 * delta - 1.0)) / 2.0)
-    sums = np.cumsum(terms)
+    with np.errstate(over="ignore"):  # a partial sum past the largest float reads inf
+        sums = np.cumsum(terms)
     if np.all(terms == 0.0):
         bounded = True
     elif len(terms) >= 2 and terms[-2] > 0:
@@ -411,7 +413,7 @@ def block_survival_mc(
     """Branching-only companion estimate of the block survival probability."""
     width = float(triple.upper[index] - triple.lower[index])
     if width <= 0:
-        return MCEstimate(mean=0.0, stderr=0.0, n=n, seed=seed)
+        return MCEstimate(mean=0.0, stderr=0.0)
     t = float(triple.times[index])
     return _mc_batched(partial(_block_batch, params, t, 2.0 * width), n, seed, stream=0, threads=threads)
 

@@ -193,8 +193,8 @@ def coalescing_pair(lo: float, hi: float, t: float, rng: np.random.Generator, si
     x, y = rng.normal(0.0, math.sqrt(t), (2, size))
     x += lo
     y += hi
-    gap = y - x
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap bridges with probability 0
+        gap = y - x
         bridge = np.exp(-(hi - lo) * gap / t)
     merged = (rng.random(size) < bridge) | (gap <= 0.0)
     return x, np.where(merged, x, y)

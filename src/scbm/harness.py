@@ -46,14 +46,11 @@ __all__ = [
     "reflected_gap_vacancy_exact",
     "LaplaceDualityConfig",
     "laplace_duality_check",
-    "AbsorbingExtinctionConfig",
+    "GapConfig",
     "absorbing_extinction_check",
-    "OccupationDualityConfig",
     "occupation_duality_check",
     "VacancyBoundConfig",
     "interval_vacancy_bound_check",
-    "ReflectedLaplaceConfig",
-    "reflected_laplace_smoke",
 ]
 
 _BATCH = 64
@@ -67,8 +64,6 @@ class MCEstimate:
 
     mean: float
     stderr: float
-    n: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ def _mc_batched(batch_fn, n: int, seed: int, stream: int, threads: int = 1, batc
     if n < 2:
         raise ValueError("need at least two replicas")
     values = _run_batches(batch_fn, n, seed, stream, threads, batch)
-    return MCEstimate(mean=float(values.mean()), stderr=float(values.std(ddof=1) / math.sqrt(n)), n=n, seed=seed)
+    return MCEstimate(mean=float(values.mean()), stderr=float(values.std(ddof=1) / math.sqrt(n)))
 
 
 def _check_step(dt: float) -> None:
@@ -183,17 +178,8 @@ def _report(label, lhs, rhs, one_sided=False, approx=False) -> ComparisonReport:
 
 
 # ---------------------------------------------------------------------------
-# Laplace-functional duality (free flow)
+# Laplace-functional duality (free flow, or a barred smoke)
 # ---------------------------------------------------------------------------
-
-
-def _check_step_function(pairs, coefficients) -> None:
-    if len(pairs) != len(coefficients):
-        raise ValueError("one coefficient per interval pair")
-    if any(hi < lo for lo, hi in pairs):
-        raise ValueError("interval pairs must be ordered (lo <= hi)")
-    if any(c < 0 for c in coefficients):
-        raise ValueError("coefficients must be >= 0")
 
 
 def _levels(points, pairs, coefficients) -> np.ndarray:
@@ -218,8 +204,6 @@ def _level_integrals(params: BranchingParams, t: float, pairs: np.ndarray, coeff
         edges = np.column_stack((np.full(rows, a), np.clip(cuts, a, b), np.full(rows, b)))
         mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
         total += np.sum(cumulant(params, t, _levels(mids, pairs, coefficients)) * np.diff(edges, axis=1), axis=1)
-    for loc, m in mu.atoms:
-        total += m * cumulant(params, t, _levels(np.full((rows, 1), loc), pairs, coefficients))[:, 0]
     return total
 
 
@@ -241,6 +225,11 @@ class LaplaceDualityConfig:
     evolved step function through the cumulant, integrate against the initial
     measure and average the exponential.  ``rhs_gamma_scale`` perturbs the
     right side's branching rate (negative control).
+
+    With ``barriers`` the flow is absorbed at them and the level paths reflect
+    off them.  The reflected coalescing side exists only as the fold-map grid
+    approximation, so a barred check is a smoke check, always flagged
+    ``approx``; its exact counterpart is the lattice generator identity.
     """
 
     params: BranchingParams
@@ -252,25 +241,34 @@ class LaplaceDualityConfig:
     spacing: float = 0.05
     dt: float = 0.01
     rhs_gamma_scale: float = 1.0
+    barriers: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        _check_step_function(self.pairs, self.coefficients)
+        if len(self.pairs) != len(self.coefficients):
+            raise ValueError("one coefficient per interval pair")
+        if any(hi < lo for lo, hi in self.pairs):
+            raise ValueError("interval pairs must be ordered (lo <= hi)")
+        if any(c < 0 for c in self.coefficients):
+            raise ValueError("coefficients must be >= 0")
+        if self.barriers is not None and any(v in self.barriers for pair in self.pairs for v in pair):
+            raise ValueError("level points must avoid the barriers")
+
+    def boundary(self, kind: str) -> FlowBoundary | None:
+        return None if self.barriers is None else FlowBoundary(kind, self.barriers)
 
 
-def _laplace_lhs_batch(cfg, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None) -> np.ndarray:
-    """E[exp(-<X_t, h0>) | flow] = exp(-sum_c M_c u_t(h0(x_c))) per replica; ``cfg`` is a (reflected) Laplace config."""
-    system = init_ensemble(cfg.mu, cfg.spacing, count, boundary=boundary)
+def _laplace_lhs_batch(cfg: LaplaceDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """E[exp(-<X_t, h0>) | flow] = exp(-sum_c M_c u_t(h0(x_c))) per replica."""
+    system = init_ensemble(cfg.mu, cfg.spacing, count, boundary=cfg.boundary("absorbing"))
     for dt in np.diff(_lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)):
         system.step(float(dt), rng)
     u = cumulant(cfg.params, cfg.t, _levels(system.pos, cfg.pairs, cfg.coefficients))
     return np.exp(-np.bincount(system.replica, weights=system.mass * u, minlength=count))
 
 
-def _laplace_rhs_batch(
-    cfg, params: BranchingParams, rng: np.random.Generator, count: int, boundary: FlowBoundary | None = None
-) -> np.ndarray:
+def _laplace_rhs_batch(cfg: LaplaceDualityConfig, params: BranchingParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """exp(-<mu, u_t(h_t)>) per replica, h_t the step function on the evolved level paths."""
-    finals = _level_paths(np.ravel(cfg.pairs), count, cfg.t, cfg.dt, rng, boundary)  # lo_1, hi_1, lo_2, ...
+    finals = _level_paths(np.ravel(cfg.pairs), count, cfg.t, cfg.dt, rng, cfg.boundary("reflecting"))  # lo_1, hi_1, ...
     return np.exp(-_level_integrals(params, cfg.t, finals.reshape(count, -1, 2), cfg.coefficients, cfg.mu))
 
 
@@ -278,45 +276,48 @@ def laplace_duality_check(cfg: LaplaceDualityConfig, seed: int, threads: int = 1
     lhs = _mc_batched(partial(_laplace_lhs_batch, cfg), cfg.n, seed, stream=0, threads=threads)
     rhs_params = replace(cfg.params, gamma=cfg.params.gamma * cfg.rhs_gamma_scale)
     rhs = _mc_batched(partial(_laplace_rhs_batch, cfg, rhs_params), cfg.n, seed, stream=1, threads=threads)
+    if cfg.barriers is not None:
+        return _report("reflected_laplace_smoke", lhs, rhs, approx=True)
     return _report("laplace_duality", lhs, rhs, approx=cfg.params.beta < 1.0)
 
 
 # ---------------------------------------------------------------------------
-# Window extinction against reflected endpoints (absorbing flow, no branching)
+# Vacancy of a window flanked by a gap (absorbing flow, or branching read at every grid time)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AbsorbingExtinctionConfig:
-    """Vacancy of the barrier window at time t, dual to two one-sided reflections.
+class GapConfig:
+    """Window [a, b] up to time t, from Lebesgue measure outside [a - c, b + c], truncated ``margin`` beyond.
 
-    The initial measure is Lebesgue outside [a - c, b + c], truncated
-    ``margin`` beyond the gap edges; mass enters [a, b] only by absorption at
-    a or b, so the left side is the probability that no extremal path is
-    absorbed.  The dual reading has no branching, making the closed form
-    (2 Phi(c / sqrt(t)) - 1)^2 exact.
+    Both readers compare with two one-sided reflections, (2 Phi(c / sqrt(t)) - 1)^2.  Without branching
+    (:func:`absorbing_extinction_check`) the flow is absorbed at a and b and the identity is exact: ever
+    occupying equals being absorbed, which the bridge-corrected hits catch without grid bias, and only the
+    two edge points can reach the window, so the law does not depend on ``spacing``.  With branching
+    (:func:`occupation_duality_check`) the plain process is read at every grid time, through its vacancy
+    probability given the flow, and the relation is an inequality.
     """
 
-    barriers: tuple[float, float]
+    window: tuple[float, float]
     c: float
     t: float
     n: int
     margin: float = 6.0
-    spacing: float = 0.5
+    spacing: float = 0.05
     dt: float = 0.01
 
     def measure(self) -> MeasureSpec:
-        a, b = self.barriers
+        a, b = self.window
         return MeasureSpec(
             intervals=((a - self.c - self.margin, a - self.c), (b + self.c, b + self.c + self.margin))
         )
 
 
-def _absorbing_lhs(cfg: AbsorbingExtinctionConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    flow = init_ensemble(cfg.measure(), cfg.spacing, count, boundary=FlowBoundary("absorbing", cfg.barriers))
+def _absorbing_lhs(cfg: GapConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    flow = init_ensemble(cfg.measure(), cfg.spacing, count, boundary=FlowBoundary("absorbing", cfg.window))
     for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
         flow.step(float(dt), rng)
-    return (~flow.charged(*cfg.barriers)).astype(float)
+    return (~flow.charged(*cfg.window)).astype(float)
 
 
 def reflected_gap_vacancy_exact(c: float, t: float) -> float:
@@ -342,44 +343,12 @@ def truncation_escape_bound(margin: float, t: float) -> float:
     return math.erfc(margin / math.sqrt(2.0 * t))
 
 
-def absorbing_extinction_check(cfg: AbsorbingExtinctionConfig, seed: int, threads: int = 1) -> ComparisonReport:
+def absorbing_extinction_check(
+    cfg: GapConfig, seed: int, threads: int = 1, label: str = "absorbing_extinction"
+) -> ComparisonReport:
     lhs = _mc_batched(partial(_absorbing_lhs, cfg), cfg.n, seed, stream=0, threads=threads)
     rhs = reflected_gap_vacancy_exact(cfg.c, cfg.t)
-    return _report("absorbing_extinction", lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# Occupation-time vacancy bound (equality without branching)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OccupationDualityConfig:
-    """Zero occupation of [y1, y2] up to t against the reflected-endpoint form.
-
-    Without branching the two sides agree exactly and the left side runs the
-    absorbed system (ever occupying equals being absorbed by t, which the
-    bridge-corrected hits capture without grid bias).  With branching the
-    relation is an inequality and the left side reads the plain process at
-    every grid time, through its vacancy probability given the flow.  Without
-    branching only the two edge points of the measure can reach the window,
-    so that law does not depend on ``spacing``.
-    """
-
-    params: BranchingParams
-    window: tuple[float, float]
-    c: float
-    t: float
-    n: int
-    margin: float = 6.0
-    spacing: float = 0.05
-    dt: float = 0.01
-
-    def measure(self) -> MeasureSpec:
-        y1, y2 = self.window
-        return MeasureSpec(
-            intervals=((y1 - self.c - self.margin, y1 - self.c), (y2 + self.c, y2 + self.c + self.margin))
-        )
+    return _report(label, lhs, rhs)
 
 
 def _never_charged(system: ReplicaFlow, grid, reads, window, params: BranchingParams, rng) -> np.ndarray:
@@ -399,20 +368,16 @@ def _never_charged(system: ReplicaFlow, grid, reads, window, params: BranchingPa
     return np.exp(-exposure)
 
 
-def _occupation_lhs_branch_batch(cfg: OccupationDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+def _occupation_lhs_batch(cfg: GapConfig, params: BranchingParams, rng: np.random.Generator, count: int) -> np.ndarray:
     grid = _lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)
     system = init_ensemble(cfg.measure(), cfg.spacing, count)
-    return _never_charged(system, grid, np.ones(len(grid), dtype=bool), cfg.window, cfg.params, rng)
+    return _never_charged(system, grid, np.ones(len(grid), dtype=bool), cfg.window, params, rng)
 
 
-def occupation_duality_check(cfg: OccupationDualityConfig, seed: int, threads: int = 1) -> ComparisonReport:
+def occupation_duality_check(cfg: GapConfig, params: BranchingParams, seed: int, threads: int = 1) -> ComparisonReport:
+    lhs = _mc_batched(partial(_occupation_lhs_batch, cfg, params), cfg.n, seed, stream=0, threads=threads)
     rhs = reflected_gap_vacancy_exact(cfg.c, cfg.t)
-    if cfg.params.gamma == 0.0:  # the absorbing reader with the window as barriers: a frozen cluster never leaves
-        absorbing = AbsorbingExtinctionConfig(cfg.window, cfg.c, cfg.t, cfg.n, cfg.margin, cfg.spacing, cfg.dt)
-        lhs = _mc_batched(partial(_absorbing_lhs, absorbing), cfg.n, seed, stream=0, threads=threads)
-        return _report("occupation_duality_equality", lhs, rhs)
-    lhs = _mc_batched(partial(_occupation_lhs_branch_batch, cfg), cfg.n, seed, stream=0, threads=threads)
-    return _report("occupation_duality_bound", lhs, rhs, one_sided=True, approx=cfg.params.beta < 1.0)
+    return _report("occupation_duality_bound", lhs, rhs, one_sided=True, approx=params.beta < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -463,40 +428,3 @@ def interval_vacancy_bound_check(cfg: VacancyBoundConfig, seed: int, threads: in
     rhs = _mc_batched(partial(_vacancy_rhs_batch, cfg), cfg.n, seed, stream=1, threads=threads)
     return _report("interval_vacancy_bound", lhs, rhs, one_sided=True, approx=cfg.params.beta < 1.0)
 
-
-# ---------------------------------------------------------------------------
-# Laplace duality with absorbing barriers and reflected level paths (smoke)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReflectedLaplaceConfig:
-    """Barrier version of the Laplace duality.
-
-    The reflected coalescing side exists only as the fold-map grid
-    approximation, so this is a smoke check; its exact counterpart is the
-    lattice generator identity.
-    """
-
-    params: BranchingParams
-    barriers: tuple[float, float]
-    t: float
-    mu: MeasureSpec
-    pairs: tuple[tuple[float, float], ...]
-    coefficients: tuple[float, ...]
-    n: int
-    spacing: float = 0.05
-    dt: float = 5e-3
-
-    def __post_init__(self) -> None:
-        _check_step_function(self.pairs, self.coefficients)
-
-
-def reflected_laplace_smoke(cfg: ReflectedLaplaceConfig, seed: int, threads: int = 1) -> ComparisonReport:
-    if any(v in cfg.barriers for pair in cfg.pairs for v in pair):
-        raise ValueError("level points must avoid the barriers")
-    lhs_fn = partial(_laplace_lhs_batch, cfg, boundary=FlowBoundary("absorbing", cfg.barriers))
-    rhs_fn = partial(_laplace_rhs_batch, cfg, cfg.params, boundary=FlowBoundary("reflecting", cfg.barriers))
-    lhs = _mc_batched(lhs_fn, cfg.n, seed, stream=0, threads=threads)
-    rhs = _mc_batched(rhs_fn, cfg.n, seed, stream=1, threads=threads)
-    return _report("reflected_laplace_smoke", lhs, rhs, approx=True)

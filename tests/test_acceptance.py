@@ -30,9 +30,8 @@ from scbm.experiments import (
     survival_experiment,
 )
 from scbm.harness import (
-    AbsorbingExtinctionConfig,
+    GapConfig,
     LaplaceDualityConfig,
-    OccupationDualityConfig,
     VacancyBoundConfig,
     absorbing_extinction_check,
     interval_vacancy_bound_check,
@@ -115,7 +114,7 @@ class TestAcceptance:
 
     def test_06_extinction_duality(self):
         start = time.time()
-        cfg = AbsorbingExtinctionConfig(barriers=(0.0, 3.0), c=1.0, t=1.0, n=10_000)
+        cfg = GapConfig(window=(0.0, 3.0), c=1.0, t=1.0, n=10_000, spacing=0.5)
         rep = absorbing_extinction_check(cfg, seed=606, threads=THREADS)
         elapsed = time.time() - start
         exact = reflected_gap_vacancy_exact(1.0, 1.0)
@@ -139,13 +138,10 @@ class TestAcceptance:
         _report(7, "laplace duality", ok, f"z={rep.z_score:+.2f} control z={control.z_score:+.1f}")
 
     def test_08_occupation_and_vacancy(self):
-        eq_cfg = OccupationDualityConfig(
-            params=BranchingParams(gamma=0.0), window=(-1.0, 1.0), c=1.0, t=1.0, n=10_000
-        )
-        eq = occupation_duality_check(eq_cfg, seed=808, threads=THREADS)
-
-        one_cfg = OccupationDualityConfig(params=P21, window=(-1.0, 1.0), c=1.0, t=1.0, n=10_000)
-        one = occupation_duality_check(one_cfg, seed=809, threads=THREADS)
+        gap = GapConfig(window=(-1.0, 1.0), c=1.0, t=1.0, n=10_000)
+        # without branching the equality is the absorbing reading on the window
+        eq = absorbing_extinction_check(gap, seed=808, threads=THREADS, label="occupation_duality_equality")
+        one = occupation_duality_check(gap, P21, seed=809, threads=THREADS)
 
         vac_cfg = VacancyBoundConfig(
             params=P21, a=1.0, s1=1.0, s2=2.0, mu=MeasureSpec(intervals=((-4.0, 4.0),)), n=10_000

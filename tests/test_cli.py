@@ -1,12 +1,13 @@
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from scbm.cli import CSV_HEADER, SUBCOMMANDS, main
 from scbm.config import ANY, ConfigError, apply_schema, parse_config
-from scbm.svgplot import _scale
+from scbm.svgplot import _scale, line_chart
 
 FAST_VERIFY = """
 [run]
@@ -53,6 +54,8 @@ vacancy_n = 100
 smoke_n = 20
 """
 
+# every series term is finite, and every partial sum past the first overflows
+GROWTH_1E308 = "[run]\nseed = 7\n[integral-test]\ng = constant:1e308\n"
 
 # keys a section no longer has: a config that sets one exits 2 naming it as unknown
 DELETED_KEYS = {("survival", "dt"), ("survival", "spacing")}
@@ -144,14 +147,25 @@ class TestCliRuns:
         assert csv == (out2 / "survival.csv").read_bytes()
         assert b",domination,constant:1.001>=constant:1,,true,,pass" in csv
 
-    @pytest.mark.parametrize("horizons", ["1,1e15", "9007199254740992"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("horizons", ["1,1e15", "9007199254740992", "1,1e300"])
     def test_survival_takes_long_horizons(self, tmp_path, horizons):
-        # one exact pair step per horizon: no time grid, so no step budget; only the chart's 2**53 bounds a horizon
+        # one exact pair step per horizon: no time grid, so no step budget, and any positive finite horizon runs
         cfg = _write(tmp_path, f"[run]\nseed = 3\n[survival]\nhorizons = {horizons}\nreplicas = 20\n")
         assert main(["survival", "--config", cfg, "--out", str(tmp_path / "out"), "--svg"]) == 0
         rows = [r.split(",") for r in (tmp_path / "out" / "survival.csv").read_text().splitlines()[1:]]
         assert float(rows[-1][5]) == pytest.approx(float(horizons.split(",")[-1]), rel=1e-9)
         assert 0.0 <= float(rows[-1][6]) < 1e-6
+
+    def test_series_terms_at_growth_1e308_stay_finite(self, tmp_path):
+        # each term is 4 * (g u): 4 g would overflow first, and every term read inf
+        out = tmp_path / "out"
+        assert main(["integral-test", "--config", _write(tmp_path, GROWTH_1E308), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "integral-test.csv").read_text().splitlines()[1:]]
+        terms = [r for r in rows if r[3] == "series_term"]
+        assert (terms[0][2], terms[0][6]) == ("1", "1.47151776469e+308")
+        assert all(math.isfinite(float(r[6])) for r in terms)
+        assert [r[6] for r in rows if r[3] == "series_bounded"] == ["true"]
 
     @pytest.mark.parametrize("growth, last", [("constant:1", 0), ("cappedexp:100", 3)])
     def test_block_rows_skipped_when_growth_exhausted(self, tmp_path, growth, last):
@@ -200,8 +214,44 @@ class TestFlatChartAxis:
         assert math.isfinite(to_pix(v)) and math.isfinite(to_pix(vmin)) and math.isfinite(to_pix(vmax))
 
 
-# the perfbench workload settings, copied verbatim, and the sha256 of the CSV each writes at seed 7 on one
-# thread, recorded at 019d37c with numpy 2.4.6 on x86-64; a change that moves a row says so and records it anew
+def _polyline_points(svg: str) -> list[str]:
+    return re.search(r'<polyline [^>]*points="([^"]*)"', svg).group(1).split()
+
+
+class TestFiniteChart:
+    """A chart frames and draws the points whose coordinates are both finite: no ``nan`` or ``inf`` reaches the SVG."""
+
+    @pytest.mark.parametrize(
+        "ys",
+        [
+            [1.0, math.inf, 2.0],
+            [-math.inf, 1.0, 3.0],
+            [1.0, math.nan, 2.0],
+            [math.nan, math.inf, -math.inf],
+            [-1e308, 1e308, 0.0],
+            None,  # the integral-test chart at g = constant:1e308: its partial sums overflow from the second term
+        ],
+    )
+    def test_no_nan_or_inf_token(self, tmp_path, ys):
+        if ys is None:
+            out = tmp_path / "out"
+            assert main(["integral-test", "--config", _write(tmp_path, GROWTH_1E308), "--out", str(out), "--svg"]) == 0
+            svg, drawn = (out / "integral-test.svg").read_text(), 1
+        else:
+            svg, drawn = line_chart([("s", [1.0, 2.0, 3.0], ys)], "t", "x", "y"), sum(map(math.isfinite, ys))
+        assert not re.search(r"nan|inf", svg, re.IGNORECASE)
+        assert len(_polyline_points(svg)) == drawn
+
+    def test_span_past_the_largest_float(self):
+        to_pix, vmin, vmax = _scale([-1e308, 1e308], 0, 100)
+        assert math.isfinite(vmin) and math.isfinite(vmax)
+        assert to_pix(0.0) == 50.0 and 0 < to_pix(-1e308) < to_pix(1e308) < 100
+
+
+# the perfbench workload settings, copied verbatim, every command at its defaults, and scbm-duality at
+# beta = 0.5 with the duality workload's replica counts (which pins the approx flags the checks derive), with
+# the sha256 of the CSV each writes at seed 7 on one thread; the workloads were recorded at 019d37c, the rest
+# at f564ae3, with numpy 2.4.6 on x86-64.  A change that moves a row says so and records it anew
 GOLDEN = {
     "duality": (
         "scbm-duality",
@@ -223,6 +273,32 @@ GOLDEN = {
         "verify-duality",
         "cases = 1x2,2x2,2x3,3x2,3x3\n",
         "150249ea1eaf179fe538a6dc5bf98ef1377b325736a490c3705e42a1b1a5f4ca",
+    ),
+    "verify-duality-defaults": (
+        "verify-duality",
+        "",
+        "653f9563b5ade0c4b768a6adcdfd34d5b7a8f96ece16221180639242088727f8",
+    ),
+    "csbp-check-defaults": (
+        "csbp-check",
+        "",
+        "313232f287ff069546cbffd207704996cd09ff0b0512c300a43dd720f7254765",
+    ),
+    "integral-test-defaults": (
+        "integral-test",
+        "",
+        "26bd2207f71445ad3cf91770dd59069079c0ed9874a3089a9761dec0aaecc893",
+    ),
+    "survival-defaults": (
+        "survival",
+        "",
+        "996ff3b96b573bddb593cbc14b7b949ef3a9ee7d3381af6766944d2aac97642a",
+    ),
+    "duality-beta05": (
+        "scbm-duality",
+        "beta = 0.5\nlaplace_n = 200\ncontrol_n = 1000\ncontrol_scale = 2\nabsorbing_n = 100\n"
+        "occupation_n = 100\nvacancy_n = 200\nsmoke_n = 20\n",
+        "7b99f025e54ea1eabe0f44f80484d521d3ae8035d5f30925099f27a4f698876f",
     ),
 }
 
@@ -443,7 +519,6 @@ class TestCliErrors:
             ("verify-duality", "array_y = 0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,2.5", "array_y"),
             ("verify-duality", "array_x = 1,1,1,3", "array_x"),
             # flow runs above FLOW_STEPS grid steps or LATTICE_POINTS start points, refused before any check runs
-            ("survival", "horizons = 1,1e300", "horizons"),
             ("scbm-duality", "laplace_t = 1e300", "laplace_t"),
             ("scbm-duality", "vacancy_s2 = 1e300", "vacancy_s2"),
             ("scbm-duality", "absorbing_t = 1e12", "absorbing_t"),

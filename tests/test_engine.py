@@ -7,27 +7,26 @@ import pytest
 from scbm.branching import BranchingParams, cumulant
 from scbm.engine import MeasureSpec, init_ensemble
 from scbm.flow import FlowBoundary, ReplicaFlow, _resolve_clusters
-from scbm.harness import LaplaceDualityConfig, ReflectedLaplaceConfig, _laplace_lhs_batch, _lattice_grid, _mc_batched
+from scbm.harness import LaplaceDualityConfig, _laplace_lhs_batch, _lattice_grid, _mc_batched
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
 
 
 class TestMeasureSpec:
     def test_masses(self):
-        mu = MeasureSpec(intervals=((-1.0, 1.0), (2.0, 3.0)), atoms=((5.0, 0.5),))
-        assert mu.total_mass == pytest.approx(3.5)
+        mu = MeasureSpec(intervals=((-1.0, 1.0), (2.0, 3.0)))
         assert mu.mass_in(0.0, 2.5) == pytest.approx(1.5)
-        assert mu.mass_in(4.0, 6.0) == pytest.approx(0.5)
+        assert mu.mass_in(-5.0, 5.0) == 3.0
+        assert mu.mass_in(4.0, 6.0) == 0.0
 
     def test_mass_in_elementwise(self):
-        mu = MeasureSpec(intervals=((-1.0, 1.0), (2.0, 3.0)), atoms=((5.0, 0.5), (2.5, 0.25)))
+        mu = MeasureSpec(intervals=((-1.0, 1.0), (2.0, 3.0)))
         u = np.array([-2.0, 0.0, 5.0, 1.0, 2.5, 6.0])
         v = np.array([6.0, 2.5, 5.0, 2.0, 2.5, 7.0])
         got = mu.mass_in(u, v)
         assert got.tolist() == [mu.mass_in(float(a), float(b)) for a, b in zip(u, v)]
-        # atoms sit in the closed interval: on either endpoint, or on both
-        assert got[2] == 0.5 and got[4] == 0.25
-        assert mu.mass_in(0.0, 5.0) == pytest.approx(2.75)
+        assert got.tolist() == [3.0, 1.5, 0.0, 0.0, 0.0, 0.0]  # a point carries no mass
+        assert mu.mass_in(0.0, 5.0) == 2.0
         assert MeasureSpec().mass_in(u, v).tolist() == [0.0] * 6
         with pytest.raises(ValueError):
             mu.mass_in(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
@@ -47,15 +46,14 @@ class TestInitAtoms:
         assert not np.any(flow.charged(-math.inf, math.inf))
 
     def test_cell_masses(self):
-        # the cell width inside an interval, half of it at the edges, the atom's
-        # own mass, and an atom on a lattice point adds to that point's cell
-        mu = MeasureSpec(intervals=((0.0, 0.4), (1.0, 2.0)), atoms=((-1.0, 0.3), (2.0, 0.25)))
+        # the cell width inside an interval, half of it at the edges
+        mu = MeasureSpec(intervals=((0.0, 0.4), (1.0, 2.0)))
         flow = init_ensemble(mu, 0.15, 3)
         h, k = 0.4 / 3, 1.0 / 7  # widths at most 0.15 that tile each interval
         first = flow.replica == 0
-        assert flow.pos[first] == pytest.approx([-1.0, 0.0, h, 2 * h, 0.4] + list(1.0 + k * np.arange(8)))
-        assert flow.mass[first] == pytest.approx([0.3, h / 2, h, h, h / 2, k / 2] + [k] * 6 + [k / 2 + 0.25])
-        assert np.bincount(flow.replica, weights=flow.mass) == pytest.approx([mu.total_mass] * 3, rel=1e-12)
+        assert flow.pos[first] == pytest.approx([0.0, h, 2 * h, 0.4] + list(1.0 + k * np.arange(8)))
+        assert flow.mass[first] == pytest.approx([h / 2, h, h, h / 2, k / 2] + [k] * 6 + [k / 2])
+        assert np.bincount(flow.replica, weights=flow.mass) == pytest.approx([1.4] * 3, rel=1e-12)
         assert np.array_equal(flow.pos, np.tile(flow.pos[first], 3))
 
     def test_masses_positive_and_sorted_births(self):
@@ -112,7 +110,7 @@ class TestEvolve:
             assert np.all(after <= before)
             before = after
 
-    def test_total_mass_laplace_identity(self):
+    def test_start_mass_laplace_identity(self):
         # coalescence cannot change the total-mass law: every replica keeps
         # start mass mu(R) = 2, so the Laplace reader of h = z on the support
         # gives exp(-mu(R) * u_t(z)) for every flow
@@ -133,9 +131,11 @@ class TestEvolve:
             assert flow.mass.sum() == pytest.approx(2.0, rel=1e-12)
         assert len(flow.mass) < starts  # merges happened
 
-    def test_absorbed_atoms_keep_branching(self):
+    def test_absorbed_edges_keep_branching(self):
         # absorbed clusters stay on the barrier with their mass, and the
-        # smoke reader reads that mass through the branching law there
+        # smoke reader reads that mass through the branching law there: both
+        # edges of [0, 1] start frozen on the barriers with half a cell each,
+        # and only the one at 0 lies in the level pair
         rng = np.random.default_rng(29)
         count = 200
         flow = _single_clusters(count, boundary=FlowBoundary("absorbing", (0.0,)))
@@ -143,17 +143,18 @@ class TestEvolve:
             flow.step(dt, rng)
             assert np.all(flow.pos == 0.0)
         assert np.all(_totals(flow) == 1.0)
-        cfg = ReflectedLaplaceConfig(
+        cfg = LaplaceDualityConfig(
             params=P21,
-            barriers=(0.0, 5.0),
             t=1.0,
-            mu=MeasureSpec(atoms=((0.0, 1.0),)),
-            pairs=((-1.0, 1.0),),
+            mu=MeasureSpec(intervals=((0.0, 1.0),)),
+            pairs=((-1.0, 0.5),),
             coefficients=(2.0,),
             n=2,
+            spacing=1.0,
+            barriers=(0.0, 1.0),
         )
-        vals = _laplace_lhs_batch(cfg, rng, count, boundary=FlowBoundary("absorbing", cfg.barriers))
-        assert vals == pytest.approx(np.full(count, math.exp(-cumulant(P21, 1.0, 2.0))), rel=1e-12)
+        vals = _laplace_lhs_batch(cfg, rng, count)
+        assert vals == pytest.approx(np.full(count, math.exp(-0.5 * cumulant(P21, 1.0, 2.0))), rel=1e-12)
 
     def test_ordering_preserved(self):
         rng = np.random.default_rng(31)

@@ -9,7 +9,7 @@ from scipy.stats import norm
 from scbm.branching import BranchingParams, cumulant
 from scbm.engine import MeasureSpec
 from scbm.flow import FlowBoundary, ReplicaFlow, _region_ids, _resolve_clusters, coalescing_pair, step_positions
-from scbm.harness import LaplaceDualityConfig, ReflectedLaplaceConfig, _level_integrals, _levels
+from scbm.harness import LaplaceDualityConfig, _level_integrals, _levels
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
 
@@ -440,8 +440,8 @@ class TestStepFunction:
             with pytest.raises(ValueError):
                 LaplaceDualityConfig(params=P21, t=1.0, mu=mu, pairs=pairs, coefficients=coefficients, n=10)
             with pytest.raises(ValueError):
-                ReflectedLaplaceConfig(
-                    params=P21, barriers=(-3.0, 3.0), t=1.0, mu=mu, pairs=pairs, coefficients=coefficients, n=10
+                LaplaceDualityConfig(
+                    params=P21, t=1.0, mu=mu, pairs=pairs, coefficients=coefficients, n=10, barriers=(-3.0, 3.0)
                 )
 
     def test_rows_carry_their_own_pairs(self):
@@ -451,9 +451,9 @@ class TestStepFunction:
         assert h.tolist() == [[4.0, 0.0], [0.0, 4.0]]
 
 
-def _integral(pairs, coefficients, intervals, atoms=()):
+def _integral(pairs, coefficients, intervals):
     """<mu, u_1(h)> under P21 for one step function, through the batched right side."""
-    mu = MeasureSpec(intervals=tuple(intervals), atoms=tuple(atoms))
+    mu = MeasureSpec(intervals=tuple(intervals))
     return float(_level_integrals(P21, 1.0, np.array([pairs], dtype=float).reshape(1, -1, 2), coefficients, mu)[0])
 
 
@@ -467,16 +467,11 @@ class TestStepIntegral:
         assert _integral(((-1.0, 1.0),), (1.0,), [(-5.0, 5.0)]) == pytest.approx(expected, abs=1e-12)
 
     def test_merged_pair_contributes_nothing(self):
-        assert _integral(((0.5, 0.5),), (4.0,), [(-5.0, 5.0)], atoms=[(0.5, 1.0)]) == 0.0
+        assert _integral(((0.5, 0.5),), (4.0,), [(-5.0, 5.0)]) == 0.0
 
     def test_partial_overlap_with_domain(self):
         expected = cumulant(P21, 1.0, 1.0) * 1.0  # only [0, 1] inside
         assert _integral(((-1.0, 1.0),), (1.0,), [(0.0, 5.0)]) == pytest.approx(expected, abs=1e-12)
-
-    def test_atoms_read_the_closed_right_end(self):
-        # an atom at hi is inside ]lo, hi], one at lo is not
-        expected = 0.5 * cumulant(P21, 1.0, 2.0)
-        assert _integral(((-1.0, 1.0),), (2.0,), [], atoms=[(-1.0, 3.0), (1.0, 0.5)]) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
