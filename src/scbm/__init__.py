@@ -5,8 +5,7 @@ Subpackage map:
 * :mod:`scbm.branching` - critical stable branching semigroup and samplers
 * :mod:`scbm.lattice` - coalescing random walks with boundary variants, states as position tuples
 * :mod:`scbm.oracle` - exact finite-state duality verification
-* :mod:`scbm.flow` - replicas of coalescing Brownian paths with barriers
-* :mod:`scbm.engine` - the measure-valued process built from excursions
+* :mod:`scbm.flow` - replicas of coalescing Brownian paths with barriers, carrying the measure-valued process
 * :mod:`scbm.harness` - Monte Carlo identity checks and their step-function integrals
 * :mod:`scbm.experiments` - integral test machinery and survival ensembles
 * :mod:`scbm.cli` - experiment command line
@@ -25,8 +24,7 @@ from .branching import (
     sample_entrance_mass,
     sample_transition,
 )
-from .engine import MeasureSpec, init_ensemble
-from .flow import FlowBoundary, ReplicaFlow
+from .flow import FlowBoundary, MeasureSpec, ReplicaFlow, init_ensemble
 from .harness import ComparisonReport, MCEstimate
 from .lattice import BoundarySpec, simulate_walk
 

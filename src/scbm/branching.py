@@ -43,19 +43,14 @@ FRAGMENTS_RULE = f"a Poisson mean of at most 1e18 per draw at beta = 1, {FRAGMEN
 
 @dataclass(frozen=True)
 class BranchingParams:
-    """Branching mechanism parameters: rate ``gamma`` >= 0 and exponent ``beta`` in (0, 1].
-
-    ``gamma == 0`` (no branching, masses frozen) is constructible because the
-    measure-valued engine needs it, but the entrance law and extinction rate
-    are undefined there and raise.
-    """
+    """Branching mechanism parameters: a finite rate ``gamma`` > 0 and exponent ``beta`` in (0, 1]."""
 
     gamma: float
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.gamma >= 0.0) or not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (0.0 < self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
 
@@ -64,14 +59,14 @@ def cumulant(params: BranchingParams, t: float, z):
     """Evaluate the cumulant map u_t(z).  Accepts scalar or array ``z``.
 
     u_0(z) = z, u is nondecreasing in z, and u_s(u_t(z)) = u_{s+t}(z).
-    ``z = inf`` returns the finite limit (requires gamma > 0, t > 0).
+    ``z = inf`` returns the finite limit (requires t > 0).
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     zarr = np.asarray(z, dtype=float)
     if np.any(zarr < 0):
         raise ValueError("z must be >= 0")
-    if t == 0 or params.gamma == 0:
+    if t == 0:
         return z if np.isscalar(z) else zarr.copy()
     b = params.beta
     with np.errstate(invalid="ignore"):
@@ -87,8 +82,6 @@ def cumulant_limit(params: BranchingParams, t: float) -> float:
     """The finite limit of u_t(z) as z -> inf; strictly decreasing in t."""
     if t <= 0:
         raise ValueError(f"time must be > 0, got {t}")
-    if params.gamma == 0:
-        raise ValueError("cumulant limit is infinite without branching (gamma = 0)")
     b = params.beta
     try:
         return ((1.0 + b) / (params.gamma * b * t)) ** (1.0 / b)
@@ -203,8 +196,5 @@ def sample_transition(params: BranchingParams, t: float, x, rng: np.random.Gener
         xarr = np.asarray(x, dtype=float)
     if np.any(xarr < 0):
         raise ValueError("mass must be >= 0")
-    if params.gamma == 0.0:
-        out = xarr.copy()
-    else:
-        out = _compound_step(cumulant_limit(params, t), xarr, params.beta, rng)
+    out = _compound_step(cumulant_limit(params, t), xarr, params.beta, rng)
     return float(out[0]) if scalar else out

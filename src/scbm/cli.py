@@ -31,19 +31,18 @@ from .branching import (
     sample_transition,
 )
 from .config import ANY, BETA, GAMMA, NONNEGATIVE, POSITIVE, REPLICAS, ConfigError, Domain, apply_schema, load_config, need
-from .engine import LATTICE_POINTS, MeasureSpec
 from .experiments import (
     SurvivalConfig,
     block_survival_closed_form,
     block_survival_mc,
     build_sequences,
-    comparison_constant,
     escape_probability_bounds,
     integral_partial,
     parse_growth,
     series_eval,
     survival_experiment,
 )
+from .flow import LATTICE_POINTS, MeasureSpec
 from .harness import (
     _BATCH,
     FLOW_STEPS,
@@ -208,7 +207,7 @@ def _run_verify_duality(settings, rows, threads):
 CSBP_SCHEMA = {
     "gamma": ("float", 2.0, GAMMA),
     "beta": ("float", 1.0, BETA),
-    "flow_gammas": ("floats", (0.5, 1.0, 2.0), NONNEGATIVE),
+    "flow_gammas": ("floats", (0.5, 1.0, 2.0), POSITIVE),
     "flow_betas": ("floats", (0.25, 0.5, 1.0), BETA),
     "flow_max": ("float", 4.0, POSITIVE),
     "flow_points": ("int", 9, Domain(lambda v: v >= 2, "at least two grid points")),
@@ -348,7 +347,7 @@ def _duality_configs(settings):
     ):
         need(section, hi, s[lo] < s[hi], f"a value above {lo}")
     need(section, "vacancy_s2", s["vacancy_s1"] < s["vacancy_s2"], "a time above vacancy_s1")
-    need(section, "control_scale", s["gamma"] * s["control_scale"] < math.inf, "a finite gamma * control_scale")
+    need(section, "control_scale", 0 < s["gamma"] * s["control_scale"] < math.inf, "a positive finite gamma * control_scale")
     for key in ("smoke_barrier_lo", "smoke_barrier_hi"):
         need(section, key, s[key] not in (s["laplace_pair_lo"], s["laplace_pair_hi"]), "a barrier off the Laplace pair points")
     params = BranchingParams(gamma=s["gamma"], beta=s["beta"])

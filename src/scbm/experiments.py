@@ -83,7 +83,7 @@ class PowerGrowth(GrowthFunction):
     coefficient: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.exponent < 0 or self.coefficient < 0:
+        if not (self.exponent >= 0 and self.coefficient >= 0):
             raise ValueError("power growth needs nonnegative exponent and coefficient")
 
     def __call__(self, t: float) -> float:
@@ -102,7 +102,7 @@ class ConstantGrowth(GrowthFunction):
     value: float
 
     def __post_init__(self) -> None:
-        if self.value < 0:
+        if not self.value >= 0:
             raise ValueError("constant growth must be nonnegative")
 
     def __call__(self, t: float) -> float:
@@ -123,9 +123,9 @@ class StaircaseGrowth(GrowthFunction):
     def __post_init__(self) -> None:
         if len(self.times) != len(self.values) or not self.times:
             raise ValueError("need matching nonempty times and values")
-        if any(a >= b for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("staircase times must be strictly increasing")
-        if any(a > b for a, b in zip(self.values, self.values[1:])) or self.values[0] < 0:
+        if any(map(math.isnan, self.times)) or not all(a < b for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("staircase times must be strictly increasing numbers")
+        if not (self.values[0] >= 0 and all(a <= b for a, b in zip(self.values, self.values[1:]))):
             raise ValueError("staircase values must be nonnegative and nondecreasing")
 
     def __call__(self, t: float) -> float:
@@ -152,7 +152,7 @@ class CappedExponentialGrowth(GrowthFunction):
     base: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.cap <= 0 or self.base <= 1:
+        if not (self.cap > 0 and self.base > 1):
             raise ValueError("need cap > 0 and base > 1")
 
     def __call__(self, t: float) -> float:
@@ -240,8 +240,6 @@ def integral_partial(g: GrowthFunction, beta: float, T: float) -> IntegralDiagno
 def comparison_constant(params: BranchingParams) -> float:
     """The constant relating the discrete series to the integral: (1/beta) * ((1+beta)/(gamma beta))**(1/beta)."""
     b = params.beta
-    if params.gamma <= 0:
-        raise ValueError("needs a positive branching rate")
     return (1.0 / b) * ((1.0 + b) / (params.gamma * b)) ** (1.0 / b)
 
 
@@ -442,13 +440,13 @@ def escape_probability_bounds(g: GrowthFunction, triple: SequenceTriple, eps: fl
         raise ValueError("eps must be in (0, 1/2)")
     times = triple.times
     gvals = np.array([g(float(t)) for t in times])
-    block = 2.0 * np.exp(-(gvals**2) / (100.0 * times))
     coupling = np.full(len(times), np.nan)
-    if len(times) > 1:
-        coupling[1:] = 4.0 * np.exp(-(gvals[1:] ** 2) / (100.0 * times[1:])) + 4.0 * np.exp(
-            -(gvals[:-1] ** 2) / (100.0 * times[1:])
-        )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # g**2 past the largest float reads inf, and exp(-inf) = 0 is the bound
+        block = 2.0 * np.exp(-(gvals**2) / (100.0 * times))
+        if len(times) > 1:
+            coupling[1:] = 4.0 * np.exp(-(gvals[1:] ** 2) / (100.0 * times[1:])) + 4.0 * np.exp(
+                -(gvals[:-1] ** 2) / (100.0 * times[1:])
+            )
         upper_env = np.array([math.inf if t * math.log(3.0) > 700.0 else 3.0**t for t in times])
     envelope = (gvals >= times ** (0.5 + eps)) & (gvals <= upper_env)
     return EscapeBounds(block=block, coupling=coupling, envelope_ok=envelope)
@@ -477,7 +475,6 @@ class SurvivalConfig:
 
     def __post_init__(self) -> None:
         h = self.horizons
-        _need(self.params.gamma > 0, "gamma", "gamma > 0: survival ensembles read branching masses")
         _need(0 <= self.truncation < math.inf, "truncation", "a finite truncation >= 0")
         ok = bool(h) and 0 < h[0] and h[-1] < math.inf and all(a < b for a, b in zip(h, h[1:]))
         _need(ok, "horizons", "strictly increasing positive finite horizons")

@@ -6,8 +6,8 @@ with the Brownian-bridge correction: an adjacent pair at gaps d0 (step start)
 and d1 (step end) merges with probability exp(-d0*d1/dt), since the pair
 difference is a Brownian motion of variance 2 per unit time.  Barriers are
 handled the same way (crossing, or a bridge hit against the barrier), with
-absorbed paths frozen in place and reflected paths folded back onto their
-side.  Single-path marginals at grid points are exact; joint laws for the
+absorbed paths frozen on the barrier and reflected paths folded back onto
+their side.  Single-path marginals at grid points are exact; joint laws for the
 reflected coalescing case are grid approximations, refined by the step size.
 
 Independent replicas run as one system: each cluster carries a replica id and
@@ -16,14 +16,35 @@ pairs never merge across replicas and barriers act on local positions.  One
 step over many replicas amortizes the fixed cost of a step, and a system with
 one replica is the plain flow.
 
-Only an absorbing barrier freezes clusters, so a step reads the ``frozen``
-array only under one; without it every cluster is free and the step skips
-the frozen bookkeeping.  At the 10^2-10^3 clusters per call that the checks
-step, a step's cost is mostly the fixed cost of its numpy calls rather than
-work per cluster, which is why the free path makes as few of them as it can.
+A flow's state is its clusters: positions, replica ids, and optionally
+masses and members.  Under an absorbing barrier an absorbed path is one that
+sits on its barrier: a proposal that lands on a barrier counts as crossed and
+is placed exactly on it, and a free cluster, at the midpoint of proposals
+strictly on one side of each barrier, stays strictly off them; so a step
+reads which clusters are frozen off their positions.  At the
+10^2-10^3 clusters per call that the checks step, a step's cost is mostly the
+fixed cost of its numpy calls rather than work per cluster, which is why the
+free path makes as few of them as it can.
 
-Clusters may carry one additive weight, the start mass of their members; the
-flow never samples branching, and its readers integrate it out.
+The process X is built from the excursions of a critical stable branching
+process riding Arratia's coalescing Brownian flow.  Each excursion is a
+cluster of a :class:`ReplicaFlow`: it has a position that moves as a
+coalescing Brownian motion (optionally absorbed at barriers) and a mass.
+Clusters that meet merge for good and their masses add; by the branching
+property the merged mass goes on as one branching process, so the law of the
+total mass does not see the coalescence.  Positions never depend on masses,
+so the flow carries only the start mass of each cluster's members and never
+samples branching; the readers integrate the branching out given the flow: a
+cluster of start mass m is extinct by time t with probability
+exp(-m u_t(inf)).
+
+:func:`init_ensemble` builds many independent copies of X at time 0 on a
+lattice.  The excursions born in a basin B, taken together, have at time t
+the law of one branching transition from mu(B); so each lattice cell starts
+as one cluster carrying the measure of its cell.  The only approximation is
+the spatial lattice, which shrinks with the spacing; the total-mass law is
+exact at every spacing.  Interval edges are lattice points, so barrier hits
+of the extremal paths are not displaced.
 """
 
 from __future__ import annotations
@@ -34,11 +55,18 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "LATTICE_POINTS",
     "FlowBoundary",
+    "MeasureSpec",
     "ReplicaFlow",
     "coalescing_pair",
+    "init_ensemble",
     "step_positions",
 ]
+
+# Lattice points one batch of replicas may start with.  A step keeps several float arrays per point, 32 MiB each
+# at 2**22 points: a tiny spacing or a wide measure is refused before anything is allocated.
+LATTICE_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -55,6 +83,31 @@ class FlowBoundary:
             raise ValueError("boundary takes one or two barrier points")
         if any(a >= b for a, b in zip(self.points, self.points[1:])):
             raise ValueError("barrier points must be strictly increasing")
+
+
+@dataclass(frozen=True)
+class MeasureSpec:
+    """Initial measure: Lebesgue measure on disjoint intervals."""
+
+    intervals: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        for lo, hi in self.intervals:
+            if hi <= lo:
+                raise ValueError(f"interval ({lo}, {hi}) must have positive length")
+        for (_, hi), (lo2, _) in zip(self.intervals, self.intervals[1:]):
+            if lo2 < hi:
+                raise ValueError("intervals must be sorted and disjoint")
+
+    def mass_in(self, u, v):
+        """Measure of the interval [u, v]; elementwise over arrays."""
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if np.any(v < u):
+            raise ValueError("interval must be ordered")
+        total = np.zeros(np.broadcast(u, v).shape)
+        for lo, hi in self.intervals:
+            total = total + np.maximum(0.0, np.minimum(hi, v) - np.maximum(lo, u))
+        return float(total) if total.ndim == 0 else total
 
 
 def _region_ids(values: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
@@ -87,7 +140,6 @@ def _fold(values: np.ndarray, regions: np.ndarray, points: tuple[float, ...]) ->
 
 def step_positions(
     values: np.ndarray,
-    frozen: np.ndarray,
     dt: float,
     rng: np.random.Generator,
     boundary: FlowBoundary | None = None,
@@ -98,13 +150,10 @@ def step_positions(
     ``values`` are cluster positions local to each cluster's replica, sorted by
     (``replica``, value) and strictly increasing within a replica; ``replica``
     holds the replica ids (None: one replica), and pairs never merge across
-    replicas.  ``frozen`` holds the absorbing barrier a cluster is stuck at,
-    NaN when free; it is read only under an absorbing barrier, and without
-    one every cluster is free and the returned ``new_frozen`` is a view of
-    ``frozen`` (all NaN) cut to the output length.  Returns ``(new_values,
-    new_frozen, cluster_ids, new_replica)``: ``cluster_ids`` maps each input
-    cluster to its (merged) output cluster index in order, ``new_replica``
-    gives each output cluster's replica id.
+    replicas.  Under an absorbing barrier a cluster on a barrier point is
+    frozen there.  Returns ``(new_values, cluster_ids, new_replica)``:
+    ``cluster_ids`` maps each input cluster to its (merged) output cluster
+    index in order, ``new_replica`` gives each output cluster's replica id.
 
     At the 10^2-10^3 clusters the checks step, a call costs mostly the fixed
     cost of its numpy calls.  The draws, in order: one normal per free
@@ -115,18 +164,18 @@ def step_positions(
     if replica is None:
         replica = np.zeros(k, dtype=np.int64)
     absorbing = boundary is not None and boundary.kind == "absorbing"
-    new_frozen = frozen
     if not absorbing:
         proposals = values + rng.normal(0.0, math.sqrt(dt), k)
     else:
-        free = np.isnan(frozen)
+        free = values != boundary.points[0]
+        for bpt in boundary.points[1:]:
+            free &= values != bpt
         noise = rng.normal(0.0, math.sqrt(dt), int(free.sum()))
         if len(noise) == k:  # nothing frozen: skip the masked update
             proposals = values + noise
         else:
             proposals = values.copy()
             proposals[free] += noise
-        new_frozen = frozen.copy()
 
     if boundary is not None and boundary.kind == "reflecting":
         regions = _region_ids(values, boundary.points)
@@ -148,13 +197,13 @@ def step_positions(
             better = hit & (e0 < hit_dist)
             hit_dist[better] = e0[better]
             hit_at[better] = bpt
-        newly = free & ~np.isnan(hit_at)
-        new_frozen[newly] = hit_at[newly]
-        proposals[newly] = hit_at[newly]
-        proposals[~free] = frozen[~free]
+        # the barrier each cluster now sits on, NaN off every barrier
+        stuck = np.where(free, hit_at, values)
+        off = np.isnan(stuck)
+        proposals = np.where(off, proposals, stuck)
 
     if k <= 1:
-        return proposals, new_frozen, np.arange(k), replica
+        return proposals, np.arange(k), replica
 
     # pair decisions between adjacent clusters of one replica, one bridge draw
     # per pair: merge with probability exp(-d0 * max(d1, 0) / dt)
@@ -174,12 +223,9 @@ def step_positions(
         # when both sit at one point
         free_pair = same & (regions[1:] == regions[:-1])
         if absorbing:
-            free_pair &= np.isnan(new_frozen[1:]) & np.isnan(new_frozen[:-1])
+            free_pair &= off[1:] & off[:-1]
         merge = np.where(free_pair, merge, same & (proposals[1:] == proposals[:-1]))
-    if absorbing:
-        return _resolve_clusters(proposals, new_frozen, merge, replica)
-    vals, _, ids, reps = _resolve_clusters(proposals, None, merge, replica)
-    return vals, frozen[: len(vals)], ids, reps
+    return _resolve_clusters(proposals, stuck if absorbing else None, merge, replica)
 
 
 def coalescing_pair(lo: float, hi: float, t: float, rng: np.random.Generator, size: int):
@@ -200,11 +246,13 @@ def coalescing_pair(lo: float, hi: float, t: float, rng: np.random.Generator, si
     return x, np.where(merged, x, y)
 
 
-def _resolve_clusters(proposals: np.ndarray, frozen: np.ndarray | None, merge: np.ndarray, replica: np.ndarray):
+def _resolve_clusters(proposals: np.ndarray, stuck: np.ndarray | None, merge: np.ndarray, replica: np.ndarray):
     """Union adjacent merge decisions, set cluster values, repair inversions within each replica.
 
-    ``frozen`` None means no cluster is frozen; the returned cluster
-    ``frozen`` is then None as well.
+    A cluster takes the midpoint of its members' proposals, or, when a member
+    is stuck on a barrier (``stuck`` not NaN), the lowest such barrier; the
+    repair can force a free cluster into an absorbed one.  ``stuck`` None
+    means no member is stuck.  Returns ``(values, cluster_ids, replica)``.
     """
     starts = np.empty(len(proposals), dtype=bool)
     starts[0] = True
@@ -216,15 +264,14 @@ def _resolve_clusters(proposals: np.ndarray, frozen: np.ndarray | None, merge: n
         vals = np.minimum.reduceat(proposals, boundaries)
         vals += np.maximum.reduceat(proposals, boundaries)
         vals *= 0.5
-        baked = None
-        if frozen is not None:
-            baked = np.fmin.reduceat(frozen, boundaries)  # fmin skips NaN
+        if stuck is not None:
+            baked = np.fmin.reduceat(stuck, boundaries)  # fmin skips NaN
             vals = np.where(np.isnan(baked), vals, baked)
         reps = replica[boundaries]
         inverted = vals[1:] < vals[:-1]
         inverted &= reps[1:] == reps[:-1]
         if not inverted.any():
-            return vals, baked, ids, reps
+            return vals, ids, reps
         # force-merge offending cluster pairs and resolve again
         bad_pairs = inverted.nonzero()[0]  # cluster index c and c+1
         pair_index = boundaries[bad_pairs + 1] - 1  # original adjacent pair position
@@ -238,11 +285,12 @@ class ReplicaFlow:
     Every cluster carries its replica id (0 to ``count - 1``) and a position
     local to its replica; clusters stay sorted by (replica, position), so one
     :func:`step_positions` call serves all replicas with their own barriers.
-    Starts that coincide within a replica are one cluster from the start, and
-    an absorbing start on a barrier is frozen there.  Two read-outs are
-    optional: ``mass`` (the start masses of each cluster's members, added on
-    every merge) and ``member`` (the cluster of each start, for path
-    read-out; only for systems whose clusters are never dropped).
+    Starts that coincide within a replica are one cluster from the start.
+    Under an absorbing boundary a cluster on a barrier, a start included, is
+    frozen there.  Two read-outs are optional: ``mass`` (the start masses of
+    each cluster's members, added on every merge) and ``member`` (the cluster
+    of each start, for path read-out; only for systems whose clusters are
+    never dropped).
 
     Given the flow, each start is an independent branching process, so a
     cluster's mass at time t is one transition over t from ``mass``.
@@ -270,10 +318,6 @@ class ReplicaFlow:
         self.boundary = boundary
         self.pos = pos[first]
         self.replica = rep[first]
-        self.frozen = np.full(len(self.pos), np.nan)
-        if boundary is not None and boundary.kind == "absorbing":
-            on_bar = np.isin(self.pos, boundary.points)
-            self.frozen[on_bar] = self.pos[on_bar]
         self.mass = None
         if masses is not None:
             self.mass = np.bincount(cluster, weights=np.asarray(masses, dtype=float)[order], minlength=len(self.pos))
@@ -286,18 +330,11 @@ class ReplicaFlow:
         """Move the clusters over ``dt``; merged clusters add their masses."""
         if not len(self.pos):
             return
-        self.pos, self.frozen, ids, self.replica = step_positions(
-            self.pos, self.frozen, dt, rng, boundary=self.boundary, replica=self.replica
-        )
+        self.pos, ids, self.replica = step_positions(self.pos, dt, rng, boundary=self.boundary, replica=self.replica)
         if self.member is not None:
             self.member = ids[self.member]
         if self.mass is not None:
             self.mass = np.bincount(ids, weights=self.mass)
-
-    def charged(self, lo: float, hi: float) -> np.ndarray:
-        """Per replica: whether any cluster sits in the closed window [lo, hi]."""
-        inside = (self.pos >= lo) & (self.pos <= hi)
-        return np.bincount(self.replica[inside], minlength=self.count) > 0
 
     def window_mass(self, lo: float, hi: float, drop: bool = False) -> np.ndarray:
         """Per replica: the ``mass`` of the clusters in the closed window [lo, hi]; ``drop`` removes those clusters.
@@ -309,7 +346,28 @@ class ReplicaFlow:
         seen = np.bincount(self.replica[inside], weights=self.mass[inside], minlength=self.count)
         if drop:
             keep = ~inside
-            self.pos, self.frozen, self.replica, self.mass = (
-                self.pos[keep], self.frozen[keep], self.replica[keep], self.mass[keep]
-            )
+            self.pos, self.replica, self.mass = self.pos[keep], self.replica[keep], self.mass[keep]
         return seen
+
+
+def init_ensemble(
+    mu: MeasureSpec,
+    spacing: float,
+    count: int,
+    boundary: FlowBoundary | None = None,
+) -> ReplicaFlow:
+    """``count`` independent populations started at time 0 from ``mu`` on a lattice, as one replica flow.
+
+    Every interval contributes equally spaced points, both edges included, at
+    most ``spacing`` apart.  Each point carries the measure of its own cell as
+    its ``mass``: h inside an interval, h/2 at its edges.  A measure with no
+    interval starts no cluster.
+    """
+    if not (0 < spacing and 0 < spacing * spacing < math.inf):  # the first step lasts spacing**2 (harness._lattice_grid)
+        raise ValueError("spacing must be positive with a positive finite square")
+    parts = [np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / spacing)) + 1)) for lo, hi in mu.intervals]
+    points = np.concatenate([np.empty(0), *parts])
+    cells = [np.diff(p, prepend=p[0]) / 2 + np.diff(p, append=p[-1]) / 2 for p in parts]
+    masses = np.tile(np.concatenate([np.empty(0), *cells]), count)
+    replica = np.repeat(np.arange(count), len(points))
+    return ReplicaFlow(np.tile(points, count), replica, count, boundary=boundary, masses=masses)

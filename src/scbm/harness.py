@@ -15,7 +15,7 @@ replica's local positions, so the replicas stay exactly independent while the
 fixed cost of a step is paid once per batch.  The batch size changes speed,
 not the law of a replica (it does change which random numbers a replica draws).
 
-Every measure-valued side starts at time 0 from :func:`~scbm.engine.init_ensemble`:
+Every measure-valued side starts at time 0 from :func:`~scbm.flow.init_ensemble`:
 one cluster per lattice cell of width ``spacing``, carrying the measure of its
 cell, stepped on :func:`_lattice_grid`.  The sides with branching draw no
 branching numbers: each replica returns the conditional expectation of its
@@ -36,8 +36,7 @@ from functools import partial
 import numpy as np
 
 from .branching import BranchingParams, cumulant, cumulant_limit
-from .engine import MeasureSpec, init_ensemble
-from .flow import FlowBoundary, ReplicaFlow
+from .flow import FlowBoundary, MeasureSpec, ReplicaFlow, init_ensemble
 
 __all__ = [
     "MCEstimate",
@@ -317,7 +316,7 @@ def _absorbing_lhs(cfg: GapConfig, rng: np.random.Generator, count: int) -> np.n
     flow = init_ensemble(cfg.measure(), cfg.spacing, count, boundary=FlowBoundary("absorbing", cfg.window))
     for dt in np.diff(_uniform_grid(cfg.t, cfg.dt)):
         flow.step(float(dt), rng)
-    return (~flow.charged(*cfg.window)).astype(float)
+    return (flow.window_mass(*cfg.window) == 0).astype(float)  # every lattice cell carries positive mass
 
 
 def reflected_gap_vacancy_exact(c: float, t: float) -> float:

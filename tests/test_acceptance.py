@@ -16,7 +16,6 @@ from scipy import stats
 from scbm.branching import BranchingParams, cumulant, cumulant_limit, sample_entrance_mass, sample_transition
 from scbm.cli import main as cli_main
 from scbm.cli import flow_property_residual
-from scbm.engine import MeasureSpec
 from scbm.experiments import (
     ConstantGrowth,
     PowerGrowth,
@@ -29,6 +28,7 @@ from scbm.experiments import (
     series_eval,
     survival_experiment,
 )
+from scbm.flow import MeasureSpec
 from scbm.harness import (
     GapConfig,
     LaplaceDualityConfig,

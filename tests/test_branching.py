@@ -25,14 +25,7 @@ class TestParams:
     def test_valid(self):
         BranchingParams(gamma=0.5, beta=0.25)
 
-    def test_gamma_zero_constructible_but_not_exact_ops(self):
-        p = BranchingParams(gamma=0.0)
-        with pytest.raises(ValueError):
-            cumulant_limit(p, 1.0)
-        with pytest.raises(ValueError):
-            sample_entrance_mass(p, 1.0, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("gamma,beta", [(-1.0, 1.0), (1.0, 0.0), (1.0, 1.5), (math.nan, 1.0)])
+    @pytest.mark.parametrize("gamma,beta", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.5), (math.nan, 1.0)])
     def test_invalid(self, gamma, beta):
         with pytest.raises(ValueError):
             BranchingParams(gamma=gamma, beta=beta)
@@ -187,11 +180,6 @@ class TestTransitionSampler:
         assert abs(pz_s - pz_c) <= 3 * se
         ks = stats.ks_2samp(s[s > 0], c[c > 0])
         assert ks.pvalue > 0.01
-
-    def test_gamma_zero_identity(self):
-        rng = np.random.default_rng(0)
-        p0 = BranchingParams(gamma=0.0)
-        assert sample_transition(p0, 3.0, 1.7, rng) == 1.7
 
     def test_beta_half_laplace_identity(self):
         # approximate sampler must still satisfy the transform identity

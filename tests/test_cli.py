@@ -157,8 +157,10 @@ class TestCliRuns:
         assert float(rows[-1][5]) == pytest.approx(float(horizons.split(",")[-1]), rel=1e-9)
         assert 0.0 <= float(rows[-1][6]) < 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_series_terms_at_growth_1e308_stay_finite(self, tmp_path):
-        # each term is 4 * (g u): 4 g would overflow first, and every term read inf
+        # each term is 4 * (g u): 4 g would overflow first, and every term read inf; g**2 overflows in the
+        # escape bounds, whose rows read exp(-inf) = 0 without a warning
         out = tmp_path / "out"
         assert main(["integral-test", "--config", _write(tmp_path, GROWTH_1E308), "--out", str(out)]) == 0
         rows = [r.split(",") for r in (out / "integral-test.csv").read_text().splitlines()[1:]]
@@ -249,9 +251,10 @@ class TestFiniteChart:
 
 
 # the perfbench workload settings, copied verbatim, every command at its defaults, and scbm-duality at
-# beta = 0.5 with the duality workload's replica counts (which pins the approx flags the checks derive), with
-# the sha256 of the CSV each writes at seed 7 on one thread; the workloads were recorded at 019d37c, the rest
-# at f564ae3, with numpy 2.4.6 on x86-64.  A change that moves a row says so and records it anew
+# beta = 0.5 with the duality workload's replica counts (which pins the approx flags the checks derive), and
+# integral-test at g = constant:1e308, with the sha256 of the CSV each writes at seed 7 on one thread; the
+# workloads were recorded at 019d37c, integral-test at g = constant:1e308 at ee2ae7c, the rest at f564ae3, with
+# numpy 2.4.6 on x86-64.  A change that moves a row says so and records it anew
 GOLDEN = {
     "duality": (
         "scbm-duality",
@@ -299,6 +302,11 @@ GOLDEN = {
         "beta = 0.5\nlaplace_n = 200\ncontrol_n = 1000\ncontrol_scale = 2\nabsorbing_n = 100\n"
         "occupation_n = 100\nvacancy_n = 200\nsmoke_n = 20\n",
         "7b99f025e54ea1eabe0f44f80484d521d3ae8035d5f30925099f27a4f698876f",
+    ),
+    "integral-test-growth-1e308": (
+        "integral-test",
+        "g = constant:1e308\n",
+        "1e2bfee2730ae9d7f2d3e7ab1fa56390f21dca0744c00a332d1687ff873bffc6",
     ),
 }
 
@@ -448,6 +456,7 @@ class TestCliErrors:
             ("csbp-check", "sampler_x = 0", "sampler_x"),
             ("csbp-check", "flow_max = -1", "flow_max"),
             ("csbp-check", "flow_gammas = -1", "flow_gammas"),
+            ("csbp-check", "flow_gammas = 0.5,0", "flow_gammas"),
             ("csbp-check", "flow_betas = 2", "flow_betas"),
             ("csbp-check", "laplace_z = -1", "laplace_z"),
             ("csbp-check", "sampler_n = 0", "sampler_n"),
@@ -467,6 +476,8 @@ class TestCliErrors:
             ("scbm-duality", "control_scale = nan", "control_scale"),
             ("scbm-duality", "control_scale = inf", "control_scale"),
             ("scbm-duality", "control_scale = -inf", "control_scale"),
+            # gamma * control_scale underflows to 0: a control without branching
+            ("scbm-duality", "gamma = 5e-324\ncontrol_scale = 0.5", "control_scale"),
             ("scbm-duality", "absorbing_a = nan", "absorbing_a"),
             ("scbm-duality", "absorbing_a = -inf", "absorbing_a"),
             ("scbm-duality", "absorbing_a = inf", "absorbing_a"),
@@ -530,6 +541,13 @@ class TestCliErrors:
             ("scbm-duality", "absorbing_c = 1e300", "absorbing_c"),
             ("scbm-duality", "occupation_c = 1e300", "occupation_c"),
             ("survival", "g = power:1e300", "g"),
+            # a NaN anywhere in a growth spec
+            ("survival", "g = cappedexp:nan", "g"),
+            ("survival", "g = staircase:nan:1", "g"),
+            ("survival", "g = staircase:1:1,nan:2", "g"),
+            ("integral-test", "g = cappedexp:nan", "g"),
+            ("integral-test", "g = staircase:nan:1", "g"),
+            ("integral-test", "g = staircase:1:1,nan:2", "g"),
             ("integral-test", "series_n = 710", "series_n"),
             ("integral-test", "series_n = 1000000000", "series_n"),
             ("survival", "beta = 0", "beta"),

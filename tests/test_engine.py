@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from scbm.branching import BranchingParams, cumulant
-from scbm.engine import MeasureSpec, init_ensemble
-from scbm.flow import FlowBoundary, ReplicaFlow, _resolve_clusters
+from scbm.flow import FlowBoundary, MeasureSpec, ReplicaFlow, _resolve_clusters, init_ensemble
 from scbm.harness import LaplaceDualityConfig, _laplace_lhs_batch, _lattice_grid, _mc_batched
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
@@ -43,7 +42,7 @@ class TestInitAtoms:
     def test_empty_measure(self):
         flow = init_ensemble(MeasureSpec(), 0.05, 5)
         assert len(flow.pos) == 0 and len(flow.mass) == 0
-        assert not np.any(flow.charged(-math.inf, math.inf))
+        assert not np.any(flow.window_mass(-math.inf, math.inf))
 
     def test_cell_masses(self):
         # the cell width inside an interval, half of it at the edges
@@ -76,7 +75,10 @@ class TestInitAtoms:
         flow = init_ensemble(MeasureSpec(intervals=((-1.0, 1.0),)), 0.5, 2, boundary=boundary)
         assert flow.mass.tolist() == [0.25, 0.5, 0.5, 0.5, 0.25] * 2
         assert np.array_equal(flow.pos, np.tile([-1.0, -0.5, 0.0, 0.5, 1.0], 2))
-        assert np.array_equal(np.isnan(flow.frozen), flow.pos != 1.0)
+        flow.step(0.01, np.random.default_rng(3))
+        on_barrier = np.isin(flow.pos, boundary.points)
+        assert np.array_equal(flow.replica[on_barrier], [0, 1]) and np.all(flow.pos[on_barrier] == 1.0)
+        assert np.all(flow.mass[on_barrier] >= 0.25)
 
 
 class TestAtomize:
@@ -172,7 +174,7 @@ def _variance_one_step(flow, dt, rng):
     d0, d1 = np.diff(flow.pos), np.diff(proposals)
     same = flow.replica[1:] == flow.replica[:-1]
     merge = same & ((d1 <= 0.0) | (rng.random(len(d0)) < np.exp(-2.0 * d0 * np.maximum(d1, 0.0) / dt)))
-    flow.pos, flow.frozen, _, flow.replica = _resolve_clusters(proposals, flow.frozen, merge, flow.replica)
+    flow.pos, _, flow.replica = _resolve_clusters(proposals, None, merge, flow.replica)
 
 
 def _clusters_in_window(spacing, t, control, rng, count):

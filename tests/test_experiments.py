@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scbm.branching import BranchingParams, cumulant_limit
-from scbm.engine import MeasureSpec, init_ensemble
 from scbm.experiments import (
     CappedExponentialGrowth,
     ConstantGrowth,
@@ -22,6 +21,7 @@ from scbm.experiments import (
     series_eval,
     survival_experiment,
 )
+from scbm.flow import MeasureSpec, init_ensemble
 from scbm.harness import _lattice_grid
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)

@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from scbm.branching import BranchingParams, cumulant
-from scbm.engine import MeasureSpec
-from scbm.flow import FlowBoundary, ReplicaFlow, _region_ids, _resolve_clusters, coalescing_pair, step_positions
+from scbm.flow import (
+    FlowBoundary,
+    MeasureSpec,
+    ReplicaFlow,
+    _region_ids,
+    _resolve_clusters,
+    coalescing_pair,
+    step_positions,
+)
 from scbm.harness import LaplaceDualityConfig, _level_integrals, _levels
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
@@ -172,18 +179,18 @@ class TestReplicaIsolation:
         bnd = FlowBoundary("absorbing", (0.0,))
         values = np.array([0.0, 0.0])
         rng = np.random.default_rng(0)
-        out = step_positions(values, values.copy(), 0.1, rng, boundary=bnd, replica=np.array([0, 1]))
+        out = step_positions(values, 0.1, rng, boundary=bnd, replica=np.array([0, 1]))
         assert np.array_equal(out[0], [0.0, 0.0])
-        assert np.array_equal(out[3], [0, 1])
+        assert np.array_equal(out[2], [0, 1])
 
     def test_barriers_act_on_local_positions(self):
         rng = np.random.default_rng(59)
         absorbing = ReplicaFlow(np.full(50, 0.02), np.arange(50), 50, boundary=FlowBoundary("absorbing", (0.0,)))
         for _ in range(100):
             absorbing.step(0.01, rng)
-        # every replica starts next to its own barrier: nearly all are frozen at it
-        assert np.sum(absorbing.frozen == 0.0) >= 45
-        assert np.all(absorbing.pos[absorbing.frozen == 0.0] == 0.0)
+        # every replica starts next to its own barrier: nearly all are frozen at it, and the rest stay above it
+        assert np.sum(np.isin(absorbing.pos, (0.0,))) >= 45
+        assert np.all(absorbing.pos >= 0.0)
 
         starts = np.tile([-0.1, 0.1], 50)
         bnd = FlowBoundary("reflecting", (0.0,))
@@ -199,7 +206,7 @@ class TestReplicaIsolation:
             count = int(rng.integers(1, 6))
             replica = np.sort(rng.integers(0, count, 12))
             values = np.concatenate([np.sort(rng.normal(0.0, 0.3, int(np.sum(replica == r)))) for r in range(count)])
-            new_values, _, ids, new_replica = step_positions(values, np.full(12, np.nan), 0.05, rng, replica=replica)
+            new_values, ids, new_replica = step_positions(values, 0.05, rng, replica=replica)
             assert np.array_equal(new_replica[ids], replica)
             for r in range(count):
                 assert np.all(np.diff(new_values[new_replica == r]) > 0)
@@ -326,7 +333,11 @@ def _random_system(rng, boundary):
 
 @pytest.mark.filterwarnings("error")  # an overflow warning means a guard was lost
 class TestStepMatchesReference:
-    """``step_positions`` and ``_resolve_clusters`` give the reference's outputs and draws, bit for bit."""
+    """``step_positions`` and ``_resolve_clusters`` give the reference's outputs and draws, bit for bit.
+
+    The reference carries a ``frozen`` array; at every step its frozen clusters are exactly the output
+    clusters on an absorbing barrier, sitting there.
+    """
 
     BOUNDARIES = [
         None,
@@ -337,10 +348,16 @@ class TestStepMatchesReference:
     ]
 
     @staticmethod
-    def _assert_same(new, ref):
-        for a, b in zip(new, ref):
+    def _assert_same(new, ref, boundary=None):
+        """``new`` is (values, ids, replica); ``ref`` adds the reference's frozen array after the values."""
+        assert len(new) == 3
+        for a, b in zip(new, (ref[0], ref[2], ref[3])):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+        points = boundary.points if boundary is not None and boundary.kind == "absorbing" else ()
+        on_barrier = np.isin(new[0], points)
+        assert np.array_equal(~np.isnan(ref[1]), on_barrier)
+        assert np.array_equal(ref[1][on_barrier], new[0][on_barrier])
 
     @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: f"{b.kind}{len(b.points)}" if b else "free")
     def test_steps_match(self, boundary):
@@ -349,13 +366,13 @@ class TestStepMatchesReference:
             values, frozen, replica = _random_system(pick, boundary)
             dt = float(pick.choice([1e-4, 0.01, 0.25]))
             rng, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
-            state, state_ref = (values, frozen, replica), (values.copy(), frozen.copy(), replica.copy())
+            state, state_ref = (values, replica), (values.copy(), frozen, replica.copy())
             for _ in range(3):
-                (v, f, r), (v_ref, f_ref, r_ref) = state, state_ref
-                out = step_positions(v, f, dt, rng, boundary=boundary, replica=r)
+                (v, r), (v_ref, f_ref, r_ref) = state, state_ref
+                out = step_positions(v, dt, rng, boundary=boundary, replica=r)
                 ref = _reference_step_positions(v_ref, f_ref, dt, rng_ref, boundary=boundary, replica=r_ref)
-                self._assert_same(out, ref)
-                state, state_ref = (out[0], out[1], out[3]), (ref[0], ref[1], ref[3])
+                self._assert_same(out, ref, boundary)
+                state, state_ref = (out[0], out[2]), (ref[0], ref[1], ref[3])
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_one_replica_without_replica_ids(self):
@@ -365,25 +382,28 @@ class TestStepMatchesReference:
             frozen = np.full(len(values), np.nan)
             rng, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
             self._assert_same(
-                step_positions(values, frozen, 0.01, rng, boundary=boundary),
+                step_positions(values, 0.01, rng, boundary=boundary),
                 _reference_step_positions(values, frozen, 0.01, rng_ref, boundary=boundary),
+                boundary,
             )
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_resolve_clusters_matches(self):
-        # random merges over unsorted proposals force the inversion repair, with and without frozen clusters
+        # random merges over unsorted proposals force the inversion repair, with and without stuck members
         rng = np.random.default_rng(97)
         for _ in range(100):
             k = int(rng.integers(2, 2000))
             replica = np.sort(rng.integers(0, 4, k))
             proposals = rng.normal(0.0, 1.0, k)
             merge = rng.random(k - 1) < 0.3
-            frozen = np.where(rng.random(k) < 0.1, proposals, np.nan)
-            for fr in (np.full(k, np.nan), frozen):
-                self._assert_same(
-                    _resolve_clusters(proposals, fr, merge, replica),
-                    _reference_resolve_clusters(proposals, fr, merge, replica),
-                )
+            stuck = np.where(rng.random(k) < 0.1, proposals, np.nan)
+            none = np.full(k, np.nan)
+            for new, ref in ((None, none), (none, none), (stuck, stuck)):
+                got = _resolve_clusters(proposals, new, merge, replica)
+                want = _reference_resolve_clusters(proposals, ref, merge, replica)
+                assert len(got) == 3
+                for a, b in zip(got, (want[0], want[2], want[3])):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestObservedMasses:
@@ -411,7 +431,7 @@ class TestObservedMasses:
         assert len(flow.pos) == 5  # reading alone keeps every cluster
         assert flow.window_mass(0.0, 1.0, drop=True).tolist() == pytest.approx([0.6, 0.0, 0.8])
         assert flow.pos.tolist() == [-2.0, 3.0] and flow.replica.tolist() == [0, 2]
-        assert flow.mass.tolist() == [0.1, 1.6] and len(flow.frozen) == 2
+        assert flow.mass.tolist() == [0.1, 1.6]
         assert flow.window_mass(0.0, 1.0).tolist() == [0.0, 0.0, 0.0]
 
 

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from scbm.branching import BranchingParams, cumulant, cumulant_limit, sample_transition
-from scbm.engine import MeasureSpec, init_ensemble
-from scbm.flow import ReplicaFlow
+from scbm.flow import MeasureSpec, ReplicaFlow, init_ensemble
 from scbm.harness import (
     GapConfig,
     LaplaceDualityConfig,

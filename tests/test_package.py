@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -39,3 +40,26 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# imports kept for their side effect: numpy 2 loads numpy.random and numpy.ma on first use
+SIDE_EFFECT_IMPORTS = {("__init__.py", "numpy.ma"), ("__init__.py", "numpy.random")}
+
+
+def test_every_import_is_used():
+    # every top-level import binds a name that its module reads or lists in __all__
+    unused = []
+    for path in sorted((SRC / "scbm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = importlib.import_module("scbm" if path.stem == "__init__" else f"scbm.{path.stem}")
+        exported = set(getattr(module, "__all__", ()))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read | exported and (path.name, alias.name) not in SIDE_EFFECT_IMPORTS:
+                        unused.append(f"{path.name}: {alias.name}")
+    assert not unused
