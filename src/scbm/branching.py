@@ -69,12 +69,12 @@ def cumulant(params: BranchingParams, t: float, z):
     if t == 0:
         return z if np.isscalar(z) else zarr.copy()
     b = params.beta
-    with np.errstate(invalid="ignore"):
-        out = zarr * ((1.0 + b) / (1.0 + b + params.gamma * b * t * zarr**b)) ** (1.0 / b)
-    # inf * 0 from the prefactor: substitute the closed-form limit
-    if np.any(np.isinf(zarr)):
-        lim = cumulant_limit(params, t)
-        out = np.where(np.isinf(zarr), lim, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = params.gamma * b * t * zarr**b
+        out = zarr * ((1.0 + b) / (1.0 + b + rate)) ** (1.0 / b)
+    # a rate past the largest float (z = inf too) leaves inf * 0 or 0: the limit is within (1 + b) / (b rate) relative
+    if not np.all(np.isfinite(rate)):
+        out = np.where(np.isfinite(rate), out, cumulant_limit(params, t))
     return float(out) if np.isscalar(z) else out
 
 

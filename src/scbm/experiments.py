@@ -371,7 +371,8 @@ def build_sequences(g: GrowthFunction, N: int, tol: float = 1e-10, t_max: float 
         gn = g(float(tarr[n]))
         eqng[n] = gn <= gl * (1 + slack) + slack and gl <= 3.0 * gn * (1 + slack) + slack
         if n >= 1:
-            width = upper[n] - lower[n]
+            with np.errstate(invalid="ignore"):  # radii past the largest float leave inf - inf, which fails both checks
+                width = upper[n] - lower[n]
             bound = 0.1 * (gl - left_values[n])
             diffok[n] = width >= bound - slack * max(1.0, abs(bound))
             winok[n] = lower[n] < upper[n]

@@ -228,9 +228,10 @@ def step_positions(
     return _resolve_clusters(proposals, stuck if absorbing else None, merge, replica)
 
 
-def coalescing_pair(lo: float, hi: float, t: float, rng: np.random.Generator, size: int):
+def coalescing_pair(lo: float | np.ndarray, hi: float | np.ndarray, t: float, rng: np.random.Generator, size: int):
     """Positions ``(x, y)`` at time ``t`` of ``size`` coalescing pairs from ``lo`` <= ``hi``, in one exact step.
 
+    ``lo`` and ``hi`` are floats, or arrays of ``size`` starts, one per pair.
     X runs free, and Y free until it meets X: the pair merged (``y == x``) iff
     Y'_t <= X_t or U < exp(-(hi - lo)(Y'_t - X_t)/t).  The draws, 2 * ``size``
     normals then ``size`` uniforms, do not depend on ``lo`` and ``hi``, so

@@ -14,6 +14,8 @@ replica id, pairs never merge across replicas and barriers act on each
 replica's local positions, so the replicas stay exactly independent while the
 fixed cost of a step is paid once per batch.  The batch size changes speed,
 not the law of a replica (it does change which random numbers a replica draws).
+A free right side steps no flow: it reads one coalescing pair per replica,
+drawn exactly in one step by :func:`~scbm.flow.coalescing_pair`.
 
 Every measure-valued side starts at time 0 from :func:`~scbm.flow.init_ensemble`:
 one cluster per lattice cell of width ``spacing``, carrying the measure of its
@@ -36,12 +38,11 @@ from functools import partial
 import numpy as np
 
 from .branching import BranchingParams, cumulant, cumulant_limit
-from .flow import FlowBoundary, MeasureSpec, ReplicaFlow, init_ensemble
+from .flow import FlowBoundary, MeasureSpec, ReplicaFlow, coalescing_pair, init_ensemble
 
 __all__ = [
     "MCEstimate",
     "ComparisonReport",
-    "hybrid_grid",
     "reflected_gap_vacancy_exact",
     "LaplaceDualityConfig",
     "laplace_duality_check",
@@ -128,25 +129,17 @@ def _check_step(dt: float) -> None:
         raise ValueError(f"time step must be positive and finite, got {dt}")
 
 
-def hybrid_grid(start: float, t_end: float, dt: float, ratio: float = 1.25) -> np.ndarray:
-    """Times from ``start`` growing geometrically by ``ratio``, easing into uniform steps of ``dt``."""
-    if not (0 < start < t_end):
-        raise ValueError("need 0 < start < t_end")
-    _check_step(dt)
-    times = [start]
-    while times[-1] < t_end:
-        times.append(min(times[-1] + min(dt, times[-1] * (ratio - 1.0)), t_end))
-    return np.asarray(times)
-
-
 def _lattice_grid(spacing: float, first_read: float, t_end: float, dt: float) -> np.ndarray:
-    """Steps from a lattice start at time 0: first min(spacing^2, first_read / 10), then :func:`hybrid_grid`.
+    """Times from a lattice start at 0: first min(spacing^2, first_read / 10), then growing by 1.25 into steps of ``dt``.
 
     The first step is at least the smallest normal float, on which the geometric growth cannot stall; a
     ``t_end`` below that is one step.
     """
-    start = max(min(spacing**2, first_read / 10.0), sys.float_info.min)
-    return np.concatenate(([0.0], hybrid_grid(start, t_end, dt) if start < t_end else [t_end]))
+    _check_step(dt)
+    times = [0.0, min(max(min(spacing**2, first_read / 10.0), sys.float_info.min), t_end)]
+    while times[-1] < t_end:
+        times.append(min(times[-1] + min(dt, times[-1] * 0.25), t_end))
+    return np.asarray(times)
 
 
 def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
@@ -181,49 +174,24 @@ def _report(label, lhs, rhs, one_sided=False, approx=False) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
-def _levels(points, pairs, coefficients) -> np.ndarray:
-    """h = sum_j c_j 1{lo_j < x <= hi_j} at ``points``; ``pairs`` has shape (K, 2), or (rows, K, 2) per row."""
-    pairs = np.asarray(pairs, dtype=float)
-    total = np.zeros(np.shape(points))
-    for j, c in enumerate(coefficients):
-        total = total + c * ((points > pairs[..., j, 0, None]) & (points <= pairs[..., j, 1, None]))
-    return total
-
-
-def _level_integrals(params: BranchingParams, t: float, pairs: np.ndarray, coefficients, mu: MeasureSpec) -> np.ndarray:
-    """<mu, u_t(h)> per row of ``pairs`` (shape (rows, K, 2)), h the step function of that row.
-
-    On each interval [a, b] of mu, the pieces between a, the row's level points clipped to [a, b], and b
-    add cumulant(level) times their length; zero-length pieces add exactly 0.
-    """
-    rows = len(pairs)
-    cuts = np.sort(pairs.reshape(rows, -1), axis=1)
-    total = np.zeros(rows)
-    for a, b in mu.intervals:
-        edges = np.column_stack((np.full(rows, a), np.clip(cuts, a, b), np.full(rows, b)))
-        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        total += np.sum(cumulant(params, t, _levels(mids, pairs, coefficients)) * np.diff(edges, axis=1), axis=1)
-    return total
-
-
-def _level_paths(starts, count: int, t: float, dt: float, rng, boundary: FlowBoundary | None = None) -> np.ndarray:
-    """The (count, k) finals at ``t`` of coalescing paths from ``starts``, shape (k,) or (count, k)."""
-    starts = np.broadcast_to(starts, (count, np.shape(starts)[-1]))
-    paths = ReplicaFlow(starts.ravel(), np.repeat(np.arange(count), starts.shape[1]), count, boundary=boundary, members=True)
+def _level_paths(pair, count: int, t: float, dt: float, rng, boundary: FlowBoundary | None = None) -> np.ndarray:
+    """The (count, 2) finals at ``t`` of ``count`` coalescing pairs from ``pair``, stepped on a grid of ``dt``."""
+    paths = ReplicaFlow(np.tile(pair, count), np.repeat(np.arange(count), 2), count, boundary=boundary, members=True)
     for step in np.diff(_uniform_grid(t, dt)):
         paths.step(float(step), rng)
-    return paths.pos[paths.member].reshape(starts.shape)
+    return paths.pos[paths.member].reshape(count, 2)
 
 
 @dataclass(frozen=True)
 class LaplaceDualityConfig:
-    """Two independent pathways for the same Laplace functional.
+    """Two independent pathways for the same Laplace functional, of h0 = c 1{lo < x <= hi}.
 
     Left: evolve the flow of the measure-valued process to ``t`` and average
-    E[exp(-<X_t, h0>) | flow].  Right: evolve the level paths, push the
-    evolved step function through the cumulant, integrate against the initial
-    measure and average the exponential.  ``rhs_gamma_scale`` perturbs the
-    right side's branching rate (negative control).
+    E[exp(-<X_t, h0>) | flow].  Right: by duality the level pair (lo, hi)
+    moves as two coalescing paths, to (L, R) at ``t`` (one exact
+    :func:`~scbm.flow.coalescing_pair` step without barriers); average
+    exp(-u_t(c) mu([L, R])), 1 for a merged pair.  ``rhs_gamma_scale``
+    perturbs the right side's branching rate (negative control).
 
     With ``barriers`` the flow is absorbed at them and the level paths reflect
     off them.  The reflected coalescing side exists only as the fold-map grid
@@ -234,8 +202,8 @@ class LaplaceDualityConfig:
     params: BranchingParams
     t: float
     mu: MeasureSpec
-    pairs: tuple[tuple[float, float], ...]
-    coefficients: tuple[float, ...]
+    pair: tuple[float, float]
+    coefficient: float
     n: int
     spacing: float = 0.05
     dt: float = 0.01
@@ -243,17 +211,18 @@ class LaplaceDualityConfig:
     barriers: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.pairs) != len(self.coefficients):
-            raise ValueError("one coefficient per interval pair")
-        if any(hi < lo for lo, hi in self.pairs):
-            raise ValueError("interval pairs must be ordered (lo <= hi)")
-        if any(c < 0 for c in self.coefficients):
-            raise ValueError("coefficients must be >= 0")
-        if self.barriers is not None and any(v in self.barriers for pair in self.pairs for v in pair):
+        if self.pair[1] < self.pair[0] or self.coefficient < 0:
+            raise ValueError("need an ordered pair (lo <= hi) and a coefficient >= 0")
+        if self.barriers is not None and any(v in self.barriers for v in self.pair):
             raise ValueError("level points must avoid the barriers")
 
     def boundary(self, kind: str) -> FlowBoundary | None:
         return None if self.barriers is None else FlowBoundary(kind, self.barriers)
+
+    def level(self, points) -> np.ndarray:
+        """h0 = c 1{lo < x <= hi} at ``points``."""
+        lo, hi = self.pair
+        return self.coefficient * ((points > lo) & (points <= hi))
 
 
 def _laplace_lhs_batch(cfg: LaplaceDualityConfig, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -261,14 +230,17 @@ def _laplace_lhs_batch(cfg: LaplaceDualityConfig, rng: np.random.Generator, coun
     system = init_ensemble(cfg.mu, cfg.spacing, count, boundary=cfg.boundary("absorbing"))
     for dt in np.diff(_lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)):
         system.step(float(dt), rng)
-    u = cumulant(cfg.params, cfg.t, _levels(system.pos, cfg.pairs, cfg.coefficients))
+    u = cumulant(cfg.params, cfg.t, cfg.level(system.pos))
     return np.exp(-np.bincount(system.replica, weights=system.mass * u, minlength=count))
 
 
 def _laplace_rhs_batch(cfg: LaplaceDualityConfig, params: BranchingParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """exp(-<mu, u_t(h_t)>) per replica, h_t the step function on the evolved level paths."""
-    finals = _level_paths(np.ravel(cfg.pairs), count, cfg.t, cfg.dt, rng, cfg.boundary("reflecting"))  # lo_1, hi_1, ...
-    return np.exp(-_level_integrals(params, cfg.t, finals.reshape(count, -1, 2), cfg.coefficients, cfg.mu))
+    """exp(-u_t(c) mu([L, R])) per replica, (L, R) the level pair at ``t``."""
+    if cfg.barriers is None:
+        left, right = coalescing_pair(*cfg.pair, cfg.t, rng, count)
+    else:
+        left, right = _level_paths(cfg.pair, count, cfg.t, cfg.dt, rng, cfg.boundary("reflecting")).T
+    return np.exp(-cumulant(params, cfg.t, cfg.coefficient) * cfg.mu.mass_in(left, right))
 
 
 def laplace_duality_check(cfg: LaplaceDualityConfig, seed: int, threads: int = 1) -> ComparisonReport:
@@ -390,8 +362,8 @@ class VacancyBoundConfig:
 
     The bound draws the half-normal displacements of two one-sided
     reflections run for s2 - s1, starts a coalescing pair at (-x - a, a + y),
-    runs it for s1 and averages exp(-rate * initial-measure mass between the
-    endpoints).
+    runs it for s1 in one exact :func:`~scbm.flow.coalescing_pair` step and
+    averages exp(-rate * initial-measure mass between the endpoints).
     """
 
     params: BranchingParams
@@ -416,8 +388,8 @@ def _vacancy_rhs_batch(cfg: VacancyBoundConfig, rng: np.random.Generator, count:
     x = np.abs(rng.normal(0.0, math.sqrt(gap_t), count))
     y = np.abs(rng.normal(0.0, math.sqrt(gap_t), count))
     theta = cumulant_limit(cfg.params, cfg.s1)
-    finals = _level_paths(np.column_stack((-x - cfg.a, cfg.a + y)), count, cfg.s1, cfg.dt, rng)
-    return np.exp(-theta * cfg.mu.mass_in(finals[:, 0], finals[:, 1]))
+    left, right = coalescing_pair(-x - cfg.a, cfg.a + y, cfg.s1, rng, count)
+    return np.exp(-theta * cfg.mu.mass_in(left, right))
 
 
 def interval_vacancy_bound_check(cfg: VacancyBoundConfig, seed: int, threads: int = 1) -> ComparisonReport:

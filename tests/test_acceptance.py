@@ -127,8 +127,8 @@ class TestAcceptance:
             params=P21,
             t=1.0,
             mu=MeasureSpec(intervals=((-2.0, 2.0),)),
-            pairs=((-1.0, 1.0),),
-            coefficients=(1.0,),
+            pair=(-1.0, 1.0),
+            coefficient=1.0,
             n=10_000,
         )
         rep = laplace_duality_check(cfg, seed=707, threads=THREADS)

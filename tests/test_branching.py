@@ -47,6 +47,13 @@ class TestCumulant:
     def test_infinite_z_gives_limit(self):
         assert cumulant(P21, 1.0, math.inf) == cumulant_limit(P21, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_z_gives_limit(self):
+        # gamma * beta * t * z**beta overflows at z = 1e308: u_1 there is u_1(inf) = 1 within about 1e-308
+        assert cumulant(P21, 1.0, 1e308) == 1.0
+        assert cumulant(P21, 1.0, np.array([1.0, 1e308, math.inf])).tolist() == [0.5, 1.0, 1.0]
+        assert cumulant(P21, 1.0, 1e300) == pytest.approx(1.0, rel=1e-15)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             cumulant(P21, -0.1, 1.0)

@@ -169,6 +169,16 @@ class TestCliRuns:
         assert all(math.isfinite(float(r[6])) for r in terms)
         assert [r[6] for r in rows if r[3] == "series_bounded"] == ["true"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_laplace_row_at_a_huge_finite_z_passes(self, tmp_path):
+        # at z = 1e308, u_t(z) is u_t(inf) and exp(-z X) is 1{X = 0}: the row reads the extinction law, quietly
+        cfg = _write(tmp_path, "[run]\nseed = 12345\n[csbp-check]\nlaplace_z = 0.5,1e308\nsampler_n = 2000\nentrance_n = 200\n")
+        out = tmp_path / "out"
+        assert main(["csbp-check", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "csbp-check.csv").read_text().splitlines()[1:]]
+        row = next(r for r in rows if r[3] == "laplace_z" and r[4] == "z=1e+308")
+        assert abs(float(row[6])) <= 3.0 and row[8] == "pass"
+
     @pytest.mark.parametrize("growth, last", [("constant:1", 0), ("cappedexp:100", 3)])
     def test_block_rows_skipped_when_growth_exhausted(self, tmp_path, growth, last):
         cfg = _write(tmp_path, f"[integral-test]\ng = {growth}\nblock_index = 5\nseries_n = 3\n")
@@ -253,14 +263,15 @@ class TestFiniteChart:
 # the perfbench workload settings, copied verbatim, every command at its defaults, and scbm-duality at
 # beta = 0.5 with the duality workload's replica counts (which pins the approx flags the checks derive), and
 # integral-test at g = constant:1e308, with the sha256 of the CSV each writes at seed 7 on one thread; the
-# workloads were recorded at 019d37c, integral-test at g = constant:1e308 at ee2ae7c, the rest at f564ae3, with
-# numpy 2.4.6 on x86-64.  A change that moves a row says so and records it anew
+# workloads were recorded at 019d37c, integral-test at g = constant:1e308 at ee2ae7c, the rest at f564ae3, and
+# both scbm-duality digests again when the free right sides became one exact pair step, with numpy 2.4.6 on
+# x86-64.  A change that moves a row says so and records it anew
 GOLDEN = {
     "duality": (
         "scbm-duality",
         "laplace_n = 200\ncontrol_n = 1000\ncontrol_scale = 2\nabsorbing_n = 100\n"
         "occupation_n = 100\nvacancy_n = 200\nsmoke_n = 20\n",
-        "adb936acef62b010be150fcc2b90dbbb310aa125fb074d17f16ab18596d8b970",
+        "7299eee7fb96a4181d4fa71df8e1d41c6ab41ea33652a1592ca6195ec9480e76",
     ),
     "survival-beta1": (
         "survival",
@@ -301,7 +312,7 @@ GOLDEN = {
         "scbm-duality",
         "beta = 0.5\nlaplace_n = 200\ncontrol_n = 1000\ncontrol_scale = 2\nabsorbing_n = 100\n"
         "occupation_n = 100\nvacancy_n = 200\nsmoke_n = 20\n",
-        "7b99f025e54ea1eabe0f44f80484d521d3ae8035d5f30925099f27a4f698876f",
+        "f9bd9b5f15a8038887ef0ff4b73851840bf3d3f6309537ca65a01e1723e0d506",
     ),
     "integral-test-growth-1e308": (
         "integral-test",
@@ -548,7 +559,10 @@ class TestCliErrors:
             ("integral-test", "g = cappedexp:nan", "g"),
             ("integral-test", "g = staircase:nan:1", "g"),
             ("integral-test", "g = staircase:1:1,nan:2", "g"),
+            ("integral-test", "series_n = 709", "series_n"),
             ("integral-test", "series_n = 710", "series_n"),
+            # u_1(inf) past the largest float: no block or series term is finite
+            ("integral-test", "gamma = 5e-324", "gamma"),
             ("integral-test", "series_n = 1000000000", "series_n"),
             ("survival", "beta = 0", "beta"),
             ("survival", "beta = 2", "beta"),
@@ -572,6 +586,13 @@ class TestCliErrors:
             assert f"for '{key}'" in err
         assert not (tmp_path / "o").exists()
 
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_growth_refused_quietly(self, tmp_path, capsys):
+        # g past the largest float from the first block on: no inf - inf warning before the refusal names g
+        cfg = _write(tmp_path, "[integral-test]\ng = power:1e300\n")
+        assert main(["integral-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "for 'g'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, key", [("beta = 0", "beta"), ("beta = 2", "beta"), ("gamma = nan", "gamma")])
     def test_duality_branching_value_names_key(self, tmp_path, capsys, line, key):

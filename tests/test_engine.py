@@ -119,7 +119,7 @@ class TestEvolve:
         rng = np.random.default_rng(19)
         t, z = 0.5, 1.0
         cfg = LaplaceDualityConfig(
-            params=P21, t=t, mu=MeasureSpec(intervals=((-1.0, 1.0),)), pairs=((-50.0, 50.0),), coefficients=(z,), n=2
+            params=P21, t=t, mu=MeasureSpec(intervals=((-1.0, 1.0),)), pair=(-50.0, 50.0), coefficient=z, n=2
         )
         vals = _laplace_lhs_batch(cfg, rng, 400)
         assert vals == pytest.approx(np.full(400, math.exp(-2.0 * cumulant(P21, t, z))), rel=1e-12)
@@ -149,8 +149,8 @@ class TestEvolve:
             params=P21,
             t=1.0,
             mu=MeasureSpec(intervals=((0.0, 1.0),)),
-            pairs=((-1.0, 0.5),),
-            coefficients=(2.0,),
+            pair=(-1.0, 0.5),
+            coefficient=2.0,
             n=2,
             spacing=1.0,
             barriers=(0.0, 1.0),

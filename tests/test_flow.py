@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import norm
 
-from scbm.branching import BranchingParams, cumulant
+from scbm.branching import BranchingParams
 from scbm.flow import (
     FlowBoundary,
     MeasureSpec,
@@ -16,7 +14,7 @@ from scbm.flow import (
     coalescing_pair,
     step_positions,
 )
-from scbm.harness import LaplaceDualityConfig, _level_integrals, _levels
+from scbm.harness import LaplaceDualityConfig
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
 
@@ -150,6 +148,23 @@ class TestCoalescingPair:
         coalescing_pair(-1.0, 1.0, 2.0, a, 10)
         coalescing_pair(-7.0, 30.0, 2.0, b, 10)
         assert a.random() == b.random()
+
+    def test_constant_array_starts_equal_the_scalar_call(self):
+        scalar = coalescing_pair(-0.5, 1.5, 2.0, np.random.default_rng(2105), 1000)
+        arrays = coalescing_pair(np.full(1000, -0.5), np.full(1000, 1.5), 2.0, np.random.default_rng(2105), 1000)
+        for a, b in zip(scalar, arrays):
+            assert np.array_equal(a, b)
+
+    def test_array_starts_merge_per_gap(self):
+        # one pair per start gap, interleaved: each gap's merged share is erfc(d / (2 sqrt t))
+        gaps, t, n = np.array([0.25, 1.0, 2.5]), 1.0, 40_000
+        d = np.tile(gaps, n)
+        lo = np.tile([-3.0, 0.0, 7.0], n)
+        x, y = coalescing_pair(lo, lo + d, t, np.random.default_rng(2106), len(d))
+        merged = (x == y).reshape(n, len(gaps))
+        for k, gap in enumerate(gaps):
+            p = math.erfc(gap / (2.0 * math.sqrt(t)))
+            assert abs(merged[:, k].mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n), gap
 
     def test_equal_starts_merge_and_huge_gaps_do_not(self):
         rng = np.random.default_rng(6)
@@ -436,80 +451,31 @@ class TestObservedMasses:
 
 
 class TestStepFunction:
-    """The step function h = sum_j c_j 1{lo_j < x <= hi_j} that the level paths carry, as the harness evaluates it."""
+    """The step function h0 = c 1{lo < x <= hi} that the Laplace left side reads, as the config evaluates it."""
+
+    MU = MeasureSpec(intervals=((-2.0, 2.0),))
 
     def test_half_open_convention(self):
-        h = _levels(np.array([0.0, 0.5, 1.0, 1.5]), ((0.0, 1.0),), (2.0,))
-        assert h.tolist() == [0.0, 2.0, 2.0, 0.0]
+        cfg = LaplaceDualityConfig(params=P21, t=1.0, mu=self.MU, pair=(0.0, 1.0), coefficient=2.0, n=10)
+        assert cfg.level(np.array([0.0, 0.5, 1.0, 1.5])).tolist() == [0.0, 2.0, 2.0, 0.0]
 
     def test_collapsed_pair_is_empty(self):
-        assert _levels(np.array([1.0]), ((1.0, 1.0),), (3.0,)).tolist() == [0.0]
-
-    def test_overlap_stacks(self):
-        assert _levels(np.array([1.5]), ((0.0, 2.0), (1.0, 3.0)), (1.0, 2.0)).tolist() == [3.0]
+        cfg = LaplaceDualityConfig(params=P21, t=1.0, mu=self.MU, pair=(1.0, 1.0), coefficient=3.0, n=10)
+        assert cfg.level(np.array([1.0])).tolist() == [0.0]
 
     def test_negative_coefficient_rejected(self):
         # the checks run when a config that carries a step function is built
-        mu = MeasureSpec(intervals=((-2.0, 2.0),))
         bad = (
-            (((0.0, 1.0),), (-1.0,)),  # negative coefficient
-            (((1.0, 0.0),), (1.0,)),  # unordered pair
-            (((0.0, 1.0), (0.5, 1.5)), (1.0,)),  # one coefficient for two pairs
+            ((0.0, 1.0), -1.0),  # negative coefficient
+            ((1.0, 0.0), 1.0),  # unordered pair
         )
-        for pairs, coefficients in bad:
+        for pair, coefficient in bad:
             with pytest.raises(ValueError):
-                LaplaceDualityConfig(params=P21, t=1.0, mu=mu, pairs=pairs, coefficients=coefficients, n=10)
+                LaplaceDualityConfig(params=P21, t=1.0, mu=self.MU, pair=pair, coefficient=coefficient, n=10)
             with pytest.raises(ValueError):
                 LaplaceDualityConfig(
-                    params=P21, t=1.0, mu=mu, pairs=pairs, coefficients=coefficients, n=10, barriers=(-3.0, 3.0)
+                    params=P21, t=1.0, mu=self.MU, pair=pair, coefficient=coefficient, n=10, barriers=(-3.0, 3.0)
                 )
-
-    def test_rows_carry_their_own_pairs(self):
-        # one step function per row of points, as for a batch of evolved level paths
-        pairs = np.array([[[0.0, 1.0]], [[2.0, 3.0]]])
-        h = _levels(np.array([[0.5, 2.5], [0.5, 2.5]]), pairs, (4.0,))
-        assert h.tolist() == [[4.0, 0.0], [0.0, 4.0]]
-
-
-def _integral(pairs, coefficients, intervals):
-    """<mu, u_1(h)> under P21 for one step function, through the batched right side."""
-    mu = MeasureSpec(intervals=tuple(intervals))
-    return float(_level_integrals(P21, 1.0, np.array([pairs], dtype=float).reshape(1, -1, 2), coefficients, mu)[0])
-
-
-class TestStepIntegral:
-    def test_zero_coefficients(self):
-        assert _integral(((0.0, 1.0),), (0.0,), [(-5.0, 5.0)]) == 0.0
-
-    def test_single_pair_hand_value(self):
-        # one interval of length 2 inside the domain at level 1
-        expected = cumulant(P21, 1.0, 1.0) * 2.0
-        assert _integral(((-1.0, 1.0),), (1.0,), [(-5.0, 5.0)]) == pytest.approx(expected, abs=1e-12)
-
-    def test_merged_pair_contributes_nothing(self):
-        assert _integral(((0.5, 0.5),), (4.0,), [(-5.0, 5.0)]) == 0.0
-
-    def test_partial_overlap_with_domain(self):
-        expected = cumulant(P21, 1.0, 1.0) * 1.0  # only [0, 1] inside
-        assert _integral(((-1.0, 1.0),), (1.0,), [(0.0, 5.0)]) == pytest.approx(expected, abs=1e-12)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        points=st.lists(st.floats(-3.0, 4.0), min_size=2, max_size=6),
-        coeffs=st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
-    )
-    def test_against_riemann_oracle(self, points, coeffs):
-        pts = sorted(points)
-        pairs = []
-        i = 0
-        while i + 1 < len(pts):
-            pairs.append((pts[i], pts[i + 1]))
-            i += 2
-        coefficients = tuple(coeffs[: len(pairs)])
-        exact = _integral(pairs, coefficients, [(-3.5, 4.5)])
-        xs = np.linspace(-3.5 + 5e-5, 4.5 - 5e-5, 80_000)
-        riemann = float(np.sum(cumulant(P21, 1.0, _levels(xs, pairs, coefficients))) * (8.0 / 80_000))
-        assert exact == pytest.approx(riemann, abs=2e-3)
 
 
 class TestDiffusiveScaling:

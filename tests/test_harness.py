@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scbm.branching import BranchingParams, cumulant, cumulant_limit, sample_transition
-from scbm.flow import MeasureSpec, ReplicaFlow, init_ensemble
+from scbm.flow import MeasureSpec, ReplicaFlow, coalescing_pair, init_ensemble
 from scbm.harness import (
     GapConfig,
     LaplaceDualityConfig,
@@ -18,14 +18,12 @@ from scbm.harness import (
     _laplace_rhs_batch,
     _lattice_grid,
     _level_paths,
-    _levels,
     _mc_batched,
     _never_charged,
     _report,
     _uniform_grid,
     _vacancy_rhs_batch,
     absorbing_extinction_check,
-    hybrid_grid,
     interval_vacancy_bound_check,
     laplace_duality_check,
     occupation_duality_check,
@@ -40,8 +38,8 @@ LAPLACE_BASE = LaplaceDualityConfig(
     params=P21,
     t=1.0,
     mu=MeasureSpec(intervals=((-2.0, 2.0),)),
-    pairs=((-1.0, 1.0),),
-    coefficients=(1.0,),
+    pair=(-1.0, 1.0),
+    coefficient=1.0,
     n=4000,
 )
 
@@ -132,16 +130,22 @@ class TestReports:
 
 
 class TestHybridGrid:
+    """The lattice grid: geometric steps out of the first one, easing into uniform steps of ``dt``."""
+
     def test_monotone_and_covers(self):
-        g = hybrid_grid(0.01, 2.0, 0.05)
-        assert g[0] == 0.01 and g[-1] == 2.0
+        g = _lattice_grid(0.1, 1.0, 2.0, 0.05)
+        assert g[0] == 0.0 and g[1] == pytest.approx(0.01) and g[-1] == 2.0
         assert np.all(np.diff(g) > 0)
         assert np.max(np.diff(g)) <= 0.05 + 1e-12
+        assert np.diff(g)[1] == pytest.approx(0.25 * g[1])  # geometric growth out of the first step
+
+    def test_end_before_the_first_step_is_one_step(self):
+        assert _lattice_grid(0.1, 1.0, 0.004, 0.05).tolist() == [0.0, 0.004]
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
     def test_bad_step_rejected(self, dt):
         with pytest.raises(ValueError, match="time step"):
-            hybrid_grid(0.01, 2.0, dt)
+            _lattice_grid(0.1, 1.0, 2.0, dt)
 
 
 class TestUniformGrid:
@@ -157,14 +161,14 @@ class TestUniformGrid:
 
 class TestLaplaceDuality:
     def test_zero_coefficients_give_unity(self):
-        cfg = replace(LAPLACE_BASE, coefficients=(0.0,), n=50)
+        cfg = replace(LAPLACE_BASE, coefficient=0.0, n=50)
         rep = laplace_duality_check(cfg, seed=5)
         assert rep.lhs.mean == 1.0
         assert rep.rhs_mean == 1.0
         assert rep.verdict == "consistent"
 
     def test_degenerate_pair_contributes_nothing(self):
-        cfg = replace(LAPLACE_BASE, pairs=((0.5, 0.5),), n=50)
+        cfg = replace(LAPLACE_BASE, pair=(0.5, 0.5), n=50)
         rep = laplace_duality_check(cfg, seed=7)
         assert rep.lhs.mean == 1.0
         assert rep.rhs_mean == 1.0
@@ -172,13 +176,6 @@ class TestLaplaceDuality:
     def test_main_config_consistent(self):
         rep = laplace_duality_check(LAPLACE_BASE, seed=101)
         assert rep.verdict == "consistent", f"z={rep.z_score}"
-
-    def test_overlapping_pairs_keep_their_grouping(self):
-        # the level paths of each pair are read back in pair order, not
-        # regrouped from the sorted endpoints
-        cfg = replace(LAPLACE_BASE, t=0.2, pairs=((-1.5, 0.5), (-0.5, 1.5)), coefficients=(1.0, 1.0), n=2000)
-        rep = laplace_duality_check(cfg, seed=107)
-        assert abs(rep.z_score) < 3.0, f"z={rep.z_score}"
 
     def test_negative_control_detected(self):
         cfg = replace(LAPLACE_BASE, n=20_000, rhs_gamma_scale=1.2)
@@ -204,19 +201,23 @@ class TestLaplaceDuality:
         assert rep.verdict == "consistent", f"z={rep.z_score}"
 
 
-def _scalar_rhs(params, t, row, coefficients, mu):
-    """exp(-<mu, u_t(h)>) for one row of evolved level points, in plain Python piece by piece."""
-    pairs = [(row[2 * j], row[2 * j + 1]) for j in range(len(coefficients))]
+def _scalar_rhs(params, t, pair, coefficient, mu):
+    """exp(-<mu, u_t(h)>) for one evolved level pair, in plain Python piece by piece."""
 
     def h(x):
-        return sum(c for (lo, hi), c in zip(pairs, coefficients) if lo < x <= hi)
+        return coefficient if pair[0] < x <= pair[1] else 0.0
 
     total = 0.0
     for a, b in mu.intervals:
-        edges = [a] + sorted(x for x in set(row) if a < x < b) + [b]
+        edges = [a] + sorted(x for x in set(pair) if a < x < b) + [b]
         for e0, e1 in zip(edges, edges[1:]):
             total += cumulant(params, t, h(0.5 * (e0 + e1))) * (e1 - e0)
     return math.exp(-total)
+
+
+def _two_sample_z(a, b):
+    se = math.hypot(a.std(ddof=1) / math.sqrt(len(a)), b.std(ddof=1) / math.sqrt(len(b)))
+    return (a.mean() - b.mean()) / se
 
 
 class TestBatchedRightSides:
@@ -227,14 +228,14 @@ class TestBatchedRightSides:
             params=BranchingParams(gamma=2.0, beta=0.5),
             t=0.5,
             mu=MeasureSpec(intervals=((-3.0, -0.5), (0.05, 0.15), (0.2, 2.5))),
-            pairs=((-1.5, 0.5), (-0.5, 1.5), (0.0, 0.0)),
-            coefficients=(1.0, 2.0, 3.0),
+            pair=(-0.5, 1.5),
+            coefficient=2.0,
             n=10,
         )
         for seed in range(5):
             values = _laplace_rhs_batch(cfg, cfg.params, np.random.default_rng(seed), 64)
-            finals = _level_paths(np.ravel(cfg.pairs), 64, cfg.t, cfg.dt, np.random.default_rng(seed))
-            expected = [_scalar_rhs(cfg.params, cfg.t, list(row), cfg.coefficients, cfg.mu) for row in finals]
+            finals = zip(*coalescing_pair(*cfg.pair, cfg.t, np.random.default_rng(seed), 64))
+            expected = [_scalar_rhs(cfg.params, cfg.t, row, cfg.coefficient, cfg.mu) for row in finals]
             assert np.max(np.abs(values - expected)) <= 1e-15
 
     def test_vacancy_rhs_matches_scalar(self):
@@ -244,10 +245,43 @@ class TestBatchedRightSides:
         rng = np.random.default_rng(3)
         x = np.abs(rng.normal(0.0, math.sqrt(0.3), 256))
         y = np.abs(rng.normal(0.0, math.sqrt(0.3), 256))
-        finals = _level_paths(np.column_stack((-x - 0.5, 0.5 + y)), 256, 0.3, cfg.dt, rng)
+        finals = zip(*coalescing_pair(-x - 0.5, 0.5 + y, 0.3, rng, 256))
         theta = cumulant_limit(P21, 0.3)
         expected = [math.exp(-theta * mu.mass_in(float(lo), float(hi))) for lo, hi in finals]
         assert np.max(np.abs(values - expected)) <= 1e-15
+
+
+class TestExactRightSides:
+    """The free right sides read one exact coalescing pair: against the exact value, and against the grid flow."""
+
+    def test_laplace_rhs_at_cli_defaults_reads_the_exact_value(self):
+        # the one-pair right side at the scbm-duality defaults, by quadrature over the unmerged pair's law
+        est = _mc_batched(partial(_laplace_rhs_batch, LAPLACE_BASE, P21), 100_000, seed=99, stream=1, batch=1024)
+        assert abs(est.mean - 0.474305) <= 3 * est.stderr, (est.mean - 0.474305) / est.stderr
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_laplace_rhs_matches_the_grid_flow(self, seed):
+        cfg, n = replace(LAPLACE_BASE, t=0.5, mu=MeasureSpec(intervals=((-2.0, 0.5), (1.0, 3.0)))), 10_000
+        exact = _laplace_rhs_batch(cfg, P21, np.random.default_rng(seed), n)
+        left, right = _level_paths(cfg.pair, n, cfg.t, cfg.dt, np.random.default_rng(seed + 100)).T
+        grid = np.exp(-cumulant(P21, cfg.t, cfg.coefficient) * cfg.mu.mass_in(left, right))
+        assert abs(_two_sample_z(exact, grid)) <= 3.0
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_vacancy_rhs_matches_the_grid_flow(self, seed):
+        # the grid side draws the same half-normal starts, then steps each pair from its own starts
+        cfg = VacancyBoundConfig(params=P21, a=0.5, s1=0.5, s2=1.0, mu=MeasureSpec(intervals=((-3.0, 3.0),)), n=10)
+        n = 10_000
+        exact = _vacancy_rhs_batch(cfg, np.random.default_rng(seed), n)
+        rng = np.random.default_rng(seed + 100)
+        x, y = np.abs(rng.normal(0.0, math.sqrt(cfg.s2 - cfg.s1), (2, n)))
+        starts = np.column_stack((-x - cfg.a, cfg.a + y)).ravel()
+        paths = ReplicaFlow(starts, np.repeat(np.arange(n), 2), n, members=True)
+        for step in np.diff(_uniform_grid(cfg.s1, cfg.dt)):
+            paths.step(float(step), rng)
+        left, right = paths.pos[paths.member].reshape(n, 2).T
+        grid = np.exp(-cumulant_limit(P21, cfg.s1) * cfg.mu.mass_in(left, right))
+        assert abs(_two_sample_z(exact, grid)) <= 3.0
 
 
 class TestAbsorbingExtinction:
@@ -436,7 +470,7 @@ class TestConditionalReaders:
         rng = np.random.default_rng(13)
         for dt in np.diff(_lattice_grid(cfg.spacing, cfg.t, cfg.t, cfg.dt)):
             flow.step(float(dt), rng)
-        h0 = _levels(flow.pos[flow.member], cfg.pairs, cfg.coefficients)
+        h0 = cfg.level(flow.pos[flow.member])
         assert np.sum(base.mass * cumulant(params, cfg.t, h0)) == pytest.approx(-math.log(value), rel=1e-12)
         k = 20_000
         draws = sample_transition(params, cfg.t, np.repeat(base.mass, k), np.random.default_rng(14))
