@@ -29,6 +29,7 @@ __all__ = [
     "extinction_prob",
     "sample_transition",
     "sample_entrance_mass",
+    "entrance_transform",
     "FRAGMENTS",
     "FRAGMENTS_RULE",
     "fragments_fit",
@@ -157,6 +158,18 @@ def sample_entrance_mass(params: BranchingParams, r: float, rng: np.random.Gener
     if params.beta == 1.0:
         return rng.exponential(1.0 / theta, size)
     return _fragments(params.beta, rng, size) / theta
+
+
+def entrance_transform(params: BranchingParams, r: float, z: float) -> tuple[float, float]:
+    """E exp(-z Y) = 1 - u_r(z)/u_r(inf) for Y of the normalized entrance law at age ``r``, and u_r(z)/u_r(inf).
+
+    The ratio is (1 + q)^(-1/beta), q = (1+beta) / (gamma beta r z^beta): read through log1p and expm1, each of
+    the two keeps its relative precision where it is small.
+    """
+    b = params.beta
+    rate = params.gamma * b * r * z**b
+    a = math.inf if rate == 0 else math.log1p((1.0 + b) / rate) / b
+    return -math.expm1(-a), math.exp(-a)
 
 
 def _compound_step(theta: float, x, beta: float, rng: np.random.Generator):

@@ -25,6 +25,7 @@ from .branching import (
     BranchingParams,
     cumulant,
     cumulant_limit,
+    entrance_transform,
     extinction_prob,
     fragments_fit,
     sample_entrance_mass,
@@ -219,13 +220,13 @@ CSBP_SCHEMA = {
     "laplace_z": ("floats", (0.5, 1.0, 2.0), POSITIVE),
     "entrance_n": ("int", 10_000, REPLICAS),
     "entrance_r": ("float", 1.0, POSITIVE),
-    "ks_pmin": ("float", 0.01, Domain(lambda v: 0 < v < 1, "a p-value threshold in (0, 1)")),
 }
 
 
 def flow_property_residual(gammas, betas, upper, points) -> float:
     """Max composition defect of the cumulant map over the parameter grid."""
-    svals = np.linspace(0.0, upper, points)
+    # times as Python floats: their sums and products past the largest float read inf quietly
+    svals = np.linspace(0.0, upper, points).tolist()
     zvals = np.linspace(0.0, upper, points)
     worst = 0.0
     for gma in gammas:
@@ -266,21 +267,29 @@ def _run_csbp_check(settings, rows, threads):
     z = z_score(float(draws.mean()) - x, se_mean)
     rows.verdict(abs(z) <= 3, "mean_z", f"x={x:g}", z, se_mean)
 
-    for zpt in settings["laplace_z"]:
-        with np.errstate(over="ignore"):  # a huge z times a draw overflows to -inf, and exp(-inf) = 0
-            vals = np.exp(-zpt * draws)
-        se = float(vals.std(ddof=1) / math.sqrt(n))
-        zsc = z_score(float(vals.mean()) - math.exp(-x * cumulant(params, t, zpt)), se)
-        rows.verdict(abs(zsc) <= 3, "laplace_z", f"z={zpt:g}", zsc, se)
+    def transition(zpt):  # E exp(-z X) = exp(-x u_t(z)), and its complement
+        a = x * cumulant(params, t, zpt)
+        return math.exp(-a), -math.expm1(-a)
 
-    sample = sample_entrance_mass(params, r, _stream(seed, 2), size=settings["entrance_n"])
-    from scipy import stats  # the KS p-value is csbp-check's only use of scipy; other commands start without it
-
-    pvalue = float(stats.kstest(sample, "expon", args=(0.0, 1.0 / theta)).pvalue)
-    if params.beta == 1.0:
-        rows.verdict(pvalue > settings["ks_pmin"], "entrance_ks_pvalue", f"r={r:g}", pvalue)
-    else:
-        rows.add("entrance_ks_pvalue", f"r={r:g}", pvalue, flag="approx")
+    # the entrance law is checked like the transition law; below beta = 1 its rows stay approx
+    entrance = sample_entrance_mass(params, r, _stream(seed, 2), size=settings["entrance_n"])
+    below_one = "" if params.beta == 1.0 else ";approx"
+    laws = (
+        ("laplace_z", draws, transition, ""),
+        ("entrance_laplace_z", entrance, lambda zpt: entrance_transform(params, r, zpt), below_one),
+    )
+    for name, sample, transform, suffix in laws:
+        for zpt in settings["laplace_z"]:
+            with np.errstate(over="ignore"):  # a huge z times a draw overflows to -inf, and exp(-inf) = 0
+                vals = np.exp(-zpt * sample)
+            # the spread from the law's second moment E exp(-2zX), not the sample's, which a large z underflows to
+            # none; it reads from the transform where that is small and from its complement otherwise
+            (mean, comp), (mean2, comp2) = transform(zpt), transform(2.0 * zpt)
+            var = mean2 - mean * mean if mean <= 0.5 else comp * (2.0 - comp) - comp2
+            se = math.sqrt(max(var, 0.0) / len(sample))
+            zsc = z_score(float(vals.mean()) - mean, se)
+            ok = abs(zsc) <= 3
+            rows.verdict(ok, name, f"z={zpt:g}", zsc, se, ("pass" if ok else "fail") + suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +445,7 @@ INTEGRAL_SCHEMA = {
     "g": ("str", "power:0.3", GROWTH),
     "gamma": ("float", 2.0, GAMMA),
     "beta": ("float", 1.0, BETA),
-    "horizon": ("float", 1e4, Domain(lambda v: 1 < v < math.inf, "a finite horizon > 1")),
+    "horizon": ("float", 1e4, Domain(lambda v: 1 < v and math.isfinite(4 * v), "a horizon > 1 with 4 * horizon finite")),
     # term n reads g at e^(n+1), which overflows past n = 708
     "series_n": ("int", 12, Domain(lambda v: 1 <= v <= 708, "between 1 and 708 terms")),
     "delta": ("float", 0.75, Domain(lambda v: 0.5 < v < 1, "delta in (1/2, 1)")),
@@ -454,6 +463,7 @@ def _run_integral_test(settings, rows, threads):
     # u_t(inf) decreases in t, and no time the command reads lies below 1
     need(section, "gamma", math.isfinite(cumulant_limit(params, 1.0)), "a rate at which u_1(inf) stays finite")
     need(section, "g", g(1.0) > 0, "a growth function positive at time 1")
+    need(section, "g", math.isfinite(g(4 * settings["horizon"])), "a growth function finite up to 4 * horizon")
     need(section, "block_index", settings["block_index"] <= settings["seq_n"], "a block index in 1..seq_n")
     triple = build_sequences(g, settings["seq_n"])
     k, idx = len(triple.times), settings["block_index"]

@@ -23,8 +23,7 @@ cell, stepped on :func:`_lattice_grid`.  The sides with branching draw no
 branching numbers: each replica returns the conditional expectation of its
 indicator given the flow (Rao-Blackwell), so the mean keeps its law.
 
-The closed forms read the normal law through ``math.erf`` and ``math.erfc``,
-so importing the harness loads no scipy.
+The closed forms read the normal law through ``math.erf`` and ``math.erfc``.
 """
 
 from __future__ import annotations

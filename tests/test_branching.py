@@ -12,6 +12,7 @@ from scbm.branching import (
     _kanter,
     cumulant,
     cumulant_limit,
+    entrance_transform,
     extinction_prob,
     sample_entrance_mass,
     sample_transition,
@@ -218,6 +219,24 @@ class TestTransitionSampler:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             sample_transition(P21, 0.0, 1.0, np.random.default_rng(0))
+
+
+class TestEntranceTransform:
+    @pytest.mark.parametrize("beta", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("z", [1e-3, 0.5, 1.0, 2.0, 1e3])
+    def test_matches_the_cumulant_ratio(self, beta, z):
+        params = BranchingParams(gamma=2.0, beta=beta)
+        ratio = cumulant(params, 1.5, z) / cumulant_limit(params, 1.5)
+        transform, complement = entrance_transform(params, 1.5, z)
+        assert transform == pytest.approx(1.0 - ratio, rel=1e-12)
+        assert complement == pytest.approx(ratio, rel=1e-12)
+
+    def test_small_ends_keep_their_precision(self):
+        # at beta = 1 the transform is 1 / (1 + z) and the complement z / (1 + z), with u_1(inf) = 1
+        assert entrance_transform(P21, 1.0, 1e20)[0] == pytest.approx(1e-20, rel=1e-14)
+        assert entrance_transform(P21, 1.0, 1e-20)[1] == pytest.approx(1e-20, rel=1e-14)
+        assert entrance_transform(P21, 1.0, math.inf) == (0.0, 1.0)
+        assert entrance_transform(P21, 1.0, 5e-324)[0] == 1.0
 
 
 class TestEntranceSampler:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from scbm.branching import cumulant_limit, sample_entrance_mass
 from scbm.cli import CSV_HEADER, SUBCOMMANDS, main
 from scbm.config import ANY, ConfigError, apply_schema, parse_config
 from scbm.svgplot import _scale, line_chart
@@ -58,7 +59,7 @@ smoke_n = 20
 GROWTH_1E308 = "[run]\nseed = 7\n[integral-test]\ng = constant:1e308\n"
 
 # keys a section no longer has: a config that sets one exits 2 naming it as unknown
-DELETED_KEYS = {("survival", "dt"), ("survival", "spacing")}
+DELETED_KEYS = {("survival", "dt"), ("survival", "spacing"), ("csbp-check", "ks_pmin")}
 
 
 def _write(tmp_path: Path, text: str) -> str:
@@ -179,6 +180,65 @@ class TestCliRuns:
         row = next(r for r in rows if r[3] == "laplace_z" and r[4] == "z=1e+308")
         assert abs(float(row[6])) <= 3.0 and row[8] == "pass"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_csbp_check_at_the_largest_flow_max_is_quiet(self, tmp_path):
+        # the flow grid's sums s + t and the rates gamma beta t pass the largest float: they read inf quietly
+        cfg = _write(tmp_path, "[csbp-check]\nflow_max = 1e308\nsampler_n = 100\nentrance_n = 20\n")
+        out = tmp_path / "out"
+        assert main(["csbp-check", "--config", cfg, "--out", str(out)]) == 0
+        rows = {r.split(",")[3]: r.split(",") for r in (out / "csbp-check.csv").read_text().splitlines()[1:]}
+        assert rows["flow_residual"][8] == "pass" and rows["flow_anchor_error"][8] == "pass"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "sampler_x, zpt",
+        [
+            # exp(-z X) underflows for every draw of a law without mass at 0: the entrance law's, and the
+            # transition law's from x = 50, where P(X = 0) = e^-50
+            (1.0, 1e6),
+            (50.0, 1e6),
+            # both transforms lie within 1e-8 of 1: the variance reads from their complements
+            (1.0, 1e-9),
+        ],
+    )
+    def test_laplace_rows_take_their_spread_from_the_law(self, tmp_path, sampler_x, zpt):
+        cfg = _write(tmp_path, f"[run]\nseed = 7\n[csbp-check]\nsampler_x = {sampler_x}\nlaplace_z = {zpt}\nflow_points = 2\n")
+        out = tmp_path / "out"
+        assert main(["csbp-check", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "csbp-check.csv").read_text().splitlines()[1:]]
+        laplace = [r for r in rows if r[3].endswith("laplace_z")]
+        assert len(laplace) == 2 and all(float(r[7]) > 0 and abs(float(r[6])) <= 3 for r in laplace)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    @pytest.mark.parametrize("seed", [7, 8, 9, 12345])
+    def test_entrance_laplace_rows_pass(self, tmp_path, seed, beta):
+        # the entrance rows read stream 2 alone: a small transition sample and flow grid leave them as at defaults
+        cfg = _write(tmp_path, f"[run]\nseed = {seed}\n[csbp-check]\nbeta = {beta}\nsampler_n = 2000\nflow_points = 2\n")
+        out = tmp_path / "out"
+        assert main(["csbp-check", "--config", cfg, "--out", str(out)]) in (0, 3)
+        rows = [r.split(",") for r in (out / "csbp-check.csv").read_text().splitlines()[1:]]
+        entrance = [r for r in rows if r[3] == "entrance_laplace_z"]
+        assert [r[4] for r in entrance] == ["z=0.5", "z=1", "z=2"]
+        assert all(r[8] == ("pass" if beta == 1.0 else "pass;approx") for r in entrance)
+
+    @pytest.mark.parametrize(
+        "beta, mutant",
+        [
+            # draws 20% too large
+            (1.0, lambda params, r, rng, size: 1.2 * sample_entrance_mass(params, r, rng, size)),
+            # the exponential law of beta = 1, at the right mean
+            (0.5, lambda params, r, rng, size: rng.exponential(1.0 / cumulant_limit(params, r), size)),
+        ],
+    )
+    def test_entrance_laplace_rows_fail_a_mutant_sampler(self, tmp_path, monkeypatch, beta, mutant):
+        monkeypatch.setattr("scbm.cli.sample_entrance_mass", mutant)
+        cfg = _write(tmp_path, f"[run]\nseed = 7\n[csbp-check]\nbeta = {beta}\nsampler_n = 2000\nflow_points = 2\n")
+        out = tmp_path / "out"
+        assert main(["csbp-check", "--config", cfg, "--out", str(out)]) == 3
+        rows = [r.split(",") for r in (out / "csbp-check.csv").read_text().splitlines()[1:]]
+        entrance = [r for r in rows if r[3] == "entrance_laplace_z"]
+        assert len(entrance) == 3 and all(r[8].split(";")[0] == "fail" for r in entrance)
+
     @pytest.mark.parametrize("growth, last", [("constant:1", 0), ("cappedexp:100", 3)])
     def test_block_rows_skipped_when_growth_exhausted(self, tmp_path, growth, last):
         cfg = _write(tmp_path, f"[integral-test]\ng = {growth}\nblock_index = 5\nseries_n = 3\n")
@@ -264,8 +324,11 @@ class TestFiniteChart:
 # beta = 0.5 with the duality workload's replica counts (which pins the approx flags the checks derive), and
 # integral-test at g = constant:1e308, with the sha256 of the CSV each writes at seed 7 on one thread; the
 # workloads were recorded at 019d37c, integral-test at g = constant:1e308 at ee2ae7c, the rest at f564ae3, and
-# both scbm-duality digests again when the free right sides became one exact pair step, with numpy 2.4.6 on
-# x86-64.  A change that moves a row says so and records it anew
+# both scbm-duality digests again when the free right sides became one exact pair step, csbp-check and
+# integral-test at g = constant:1e308 again when the entrance law was read through its Laplace transform, both
+# laws' Laplace rows took their standard errors from the law's second moment and the classification integral
+# was read through log-scale Gauss-Legendre, with numpy 2.4.6 on x86-64.  A change that moves a row says so and
+# records it anew
 GOLDEN = {
     "duality": (
         "scbm-duality",
@@ -296,7 +359,7 @@ GOLDEN = {
     "csbp-check-defaults": (
         "csbp-check",
         "",
-        "313232f287ff069546cbffd207704996cd09ff0b0512c300a43dd720f7254765",
+        "09d15fd179e303e6d2f6c9496eef39d11c7fbb62f0baa9443bda804c7d865152",
     ),
     "integral-test-defaults": (
         "integral-test",
@@ -317,7 +380,7 @@ GOLDEN = {
     "integral-test-growth-1e308": (
         "integral-test",
         "g = constant:1e308\n",
-        "1e2bfee2730ae9d7f2d3e7ab1fa56390f21dca0744c00a332d1687ff873bffc6",
+        "e548b1d8277dd0d696a75f586920b4b26926e9a3ac4df8c55e52c1fd7e7ab741",
     ),
 }
 
@@ -560,6 +623,9 @@ class TestCliErrors:
             ("integral-test", "g = staircase:nan:1", "g"),
             ("integral-test", "g = staircase:1:1,nan:2", "g"),
             ("integral-test", "series_n = 709", "series_n"),
+            # the integral test reads g up to 4 * horizon: here 4 * horizon, then g there, pass the largest float
+            ("integral-test", "horizon = 1e308", "horizon"),
+            ("integral-test", "g = power:2\nhorizon = 1e200", "g"),
             ("integral-test", "series_n = 710", "series_n"),
             # u_1(inf) past the largest float: no block or series term is finite
             ("integral-test", "gamma = 5e-324", "gamma"),

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -89,6 +90,89 @@ class TestIntegralPartial:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             integral_partial(ConstantGrowth(1.0), 1.0, 1.0)
+
+
+def _power_closed_form(p, beta, x):
+    k = p - 1.0 / beta
+    return math.log(x) if k == 0 else math.expm1(k * math.log(x)) / k
+
+
+def _staircase_closed_form(g, beta, x):
+    # a step of value v on [a, b] adds v * beta * (a^(-1/beta) - b^(-1/beta))
+    ends = [*g.times[1:], math.inf]
+    return sum(
+        v * beta * (max(a, 1.0) ** (-1.0 / beta) - min(b, x) ** (-1.0 / beta))
+        for a, b, v in zip(g.times, ends, g.values)
+        if a < x and b > 1.0
+    )
+
+
+STAIRCASE = StaircaseGrowth(times=(0.5, 1.2, 10.0, 1e3, 1e30), values=(1.0, 2.0, 5.0, 6.0, 9.0))
+CLOSED_FORMS = {
+    **{f"power:{p:g}": (PowerGrowth(p), partial(_power_closed_form, p)) for p in (0.0, 0.3, 1.0, 2.0)},
+    "constant:7": (ConstantGrowth(7.0), lambda beta, x: -7.0 * beta * math.expm1(-math.log(x) / beta)),
+    "staircase": (STAIRCASE, partial(_staircase_closed_form, STAIRCASE)),
+}
+
+
+class TestIntegralClosedForms:
+    """integral_partial at T, 2T and 4T against the closed forms, within 1e-12 relative, out to T = 1e100."""
+
+    HORIZONS = (1.5, 10.0, 1e4, 1e6, 1e8, 1e20, 1e100)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5, 0.25, 0.01])
+    @pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+    def test_partial_matches_closed_form(self, family, beta):
+        g, exact = CLOSED_FORMS[family]
+        for T in self.HORIZONS:
+            diag = integral_partial(g, beta, T)
+            for value, x in ((diag.value, T), (diag.value_2t, 2 * T), (diag.value_4t, 4 * T)):
+                assert value == pytest.approx(exact(beta, x), rel=1e-12, abs=0), (T, x)
+
+    @pytest.mark.parametrize(
+        "p, beta, horizons",
+        [
+            # log f climbs by 149 per unit of s: 40^150 = 1e240 is the last g the horizon 10 reads
+            (150.0, 1.0, (1.5, 2.0, 5.0, 10.0)),
+            (150.0, 0.5, (1.5, 2.0, 5.0, 10.0)),
+            # log f falls by 1e8 or 1e200 per unit of s: the mass sits within a few beta of each panel's start
+            (0.3, 1e-8, (1.5, 1e4, 1e100)),
+            (2.0, 1e-200, (1.5, 1e4, 1e100)),
+        ],
+    )
+    def test_steep_integrands_match_closed_form(self, p, beta, horizons):
+        for T in horizons:
+            diag = integral_partial(PowerGrowth(p), beta, T)
+            for value, x in ((diag.value, T), (diag.value_2t, 2 * T), (diag.value_4t, 4 * T)):
+                assert value == pytest.approx(_power_closed_form(p, beta, x), rel=1e-12, abs=0), (T, x)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    @pytest.mark.parametrize("cap", [100.0, 2000.0, 1e6])
+    def test_capped_exponential_matches_panelled_quad(self, cap, beta):
+        # the reference splits [1, X] at the kink and at every power of e, so that each adaptive pass sees
+        # one smooth piece of moderate width
+        integrate = pytest.importorskip("scipy.integrate")
+        g = CappedExponentialGrowth(cap=cap)
+
+        def reference(x):
+            powers = (math.e**k for k in range(1, int(math.log(x)) + 1))
+            cuts = sorted({1.0, x, *(c for c in (math.log(cap) / math.log(3.0), *powers) if 1.0 < c < x)})
+            pieces = [
+                integrate.quad(lambda y: g(y) * y ** (-1.0 - 1.0 / beta), a, b, epsabs=0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(cuts, cuts[1:])
+            ]
+            return math.fsum(pieces)
+
+        for T in (10.0, 1e4, 1e8):
+            diag = integral_partial(g, beta, T)
+            for value, x in ((diag.value, T), (diag.value_2t, 2 * T), (diag.value_4t, 4 * T)):
+                assert value == pytest.approx(reference(x), rel=1e-12, abs=0), (T, x)
+
+    def test_capped_exponential_breaks_at_its_kink(self):
+        g = CappedExponentialGrowth(cap=100.0)
+        kink = math.log(100.0) / math.log(3.0)
+        assert g.breakpoints(1.0, 10.0) == [kink]
+        assert g.breakpoints(kink, 10.0) == [] and g.breakpoints(1.0, 4.0) == []
 
 
 class TestSeries:

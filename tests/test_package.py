@@ -28,18 +28,30 @@ def test_readme_library_sketch_runs(capsys):
     assert 0.0 < charged < 1.0
 
 
-def test_import_loads_no_scipy():
-    # only the csbp-check KS p-value and the integral-test quadrature load scipy, when they run
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # scbm needs numpy alone: with scipy unimportable, every module imports, and csbp-check and integral-test
+    # (the commands with a statistics or quadrature step) run to exit 0
     code = (
-        "import importlib, pkgutil, sys, scbm, scbm.cli\n"
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import scbm\n"
+        "from scbm.cli import main\n"
         "for info in pkgutil.iter_modules(scbm.__path__):\n"
         "    importlib.import_module('scbm.' + info.name)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "out = sys.argv[1]\n"
+        "assert main(['csbp-check', '--seed', '7', '--out', out, '--config', sys.argv[2]]) == 0\n"
+        "assert main(['integral-test', '--seed', '7', '--out', out, '--config', sys.argv[2]]) == 0\n"
+    )
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(
+        "[csbp-check]\nsampler_n = 2000\nentrance_n = 2000\nflow_points = 2\n"
+        "[integral-test]\nseries_n = 3\nseq_n = 2\nblock_n = 100\n",
+        encoding="utf-8",
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    args = [sys.executable, "-c", code, str(tmp_path / "out"), str(cfg)]
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 # imports kept for their side effect: numpy 2 loads numpy.random and numpy.ma on first use
