@@ -1,27 +1,24 @@
 """Growth-window experiments: integral test diagnostics and survival ensembles.
 
-The long-run behavior of the window process is governed by whether
-``integral of g(y) * y**(-1-1/beta) over [1, inf)`` converges.  This module
-evaluates that integral with a convergence diagnostic, the matching
-discrete series ``4 g(t_{n+1}) u_{t_n}(inf)`` along the exponential time
-ladder, the tripling-time sequences with their interval invariants, the
-closed-form survival probability of one annular block, and finite-horizon
-window-survival ensembles of the full measure-valued process.
-Survival ensembles read the flow through its dual, a coalescing pair run
-backward from the window's edges, and report P(window charged | the pair).
+The long-run behavior of the window process is governed by whether ``integral of g(y) * y**(-1-1/beta) over
+[1, inf)`` converges.  This module evaluates that integral with a convergence diagnostic, the matching discrete
+series ``4 g(t_{n+1}) u_{t_n}(inf)`` along the exponential time ladder with the exact chance the window is charged
+at each ladder time, the tripling-time sequences with their interval invariants, the closed-form survival
+probability of one annular block, and finite-horizon window-survival ensembles.  Both the charge and the ensembles
+read the flow through its dual, a coalescing pair run backward from the window's edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .branching import FRAGMENTS_RULE, BranchingParams, cumulant_limit, fragments_fit, sample_transition
 from .flow import coalescing_pair
-from .harness import MCEstimate, _mc_batched, _run_batches
+from .harness import _run_batches
 
 __all__ = [
     "GrowthFunction",
@@ -35,10 +32,10 @@ __all__ = [
     "SeriesDiagnostics",
     "series_eval",
     "comparison_constant",
+    "window_charge",
     "SequenceTriple",
     "build_sequences",
     "block_survival_closed_form",
-    "block_survival_mc",
     "EscapeBounds",
     "escape_probability_bounds",
     "SurvivalConfig",
@@ -69,7 +66,7 @@ class GrowthFunction:
         return []
 
     def validate(self, lo: float = 0.0, hi: float = 100.0, points: int = 64) -> None:
-        grid = np.linspace(lo, hi, points)
+        grid = np.linspace(lo / 2, hi / 2, points) * 2  # halved, so that no step overflows up to the largest float
         vals = [self(float(t)) for t in grid]
         if any(v < 0 for v in vals):
             raise ValueError("growth function must be nonnegative")
@@ -210,6 +207,12 @@ class IntegralDiagnostics:
     limit_estimate: float | None
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:  # 20 nodes and weights on [-1, 1]
+    from numpy.polynomial.legendre import leggauss  # loaded by the integral test alone, not on import
+    return leggauss(20)
+
+
 def _tail_quad(g: GrowthFunction, beta: float, lo: float, hi: float) -> float:
     """The integral of g(y) y^(-1-1/beta) over [lo, hi], as that of f(s) = g(e^s) e^(-s/beta) over s = log y.
 
@@ -218,9 +221,7 @@ def _tail_quad(g: GrowthFunction, beta: float, lo: float, hi: float) -> float:
     beta or a steep g) is cut into equal parts that each swing by about 8, as far as f may still hold more than
     e^-40 of the panel's integral; one part takes the rest.
     """
-    from numpy.polynomial.legendre import leggauss  # loaded by the integral test alone, not on import
-
-    nodes, weights = leggauss(20)
+    nodes, weights = _gauss_legendre()
     ends = [math.log(y) for y in [lo, *g.breakpoints(lo, hi), hi]]
     left = np.concatenate([np.linspace(a, b, math.ceil(b - a) + 1)[:-1] for a, b in zip(ends, ends[1:])])
     width = np.diff(np.append(left, ends[-1]))
@@ -306,6 +307,31 @@ def series_eval(g: GrowthFunction, params: BranchingParams, N: int, delta: float
         comparison=comparison_constant(params),
         bounded=bounded,
     )
+
+
+def window_charge(params: BranchingParams, r: float, h: float) -> float:
+    """P(X_h([-r, r]) > 0) from Lebesgue measure: 1 - E exp(-u_h(inf) D), D the gap at h of coalescing paths from +-r.
+
+    Unmerged, D has density phi_2h(D - 2r) (1 - exp(-2rD/h)).  In s = (D - 2r)/sqrt(2h) the integrand is
+    (1 - exp(-a x)) (1 - exp(-2u x)) phi(s), x = u + s, u = 2r/sqrt(2h), a = u_h(inf) sqrt(2h): its factors lie in
+    [0, 1], so nothing cancels.  Gauss-Legendre runs on unit panels over s in [max(-u, -40), 40], halved towards
+    the lower end down to the scale 1/max(a, 2u) of its steps; the sum is clipped at 1 against rounding.
+    """
+    nodes, weights = _gauss_legendre()
+    u = r / math.sqrt(h / 2.0)  # not 2r / sqrt(2h): 2r overflows for r near the largest float
+    a = cumulant_limit(params, h) * math.sqrt(2.0 * h)
+    if a == 0.0:  # the first factor is 0 at every finite gap
+        return 0.0
+    lo = max(-u, -40.0)
+    halvings = max(0, math.ceil(math.log2(min(max(a, 2.0 * u), 2.0**1000))))
+    # panel ends as offsets t from s = lo, where x = (u + lo) + t is exact at the lower end
+    ends = np.concatenate(([0.0], 2.0 ** -np.arange(halvings, 0, -1.0), np.arange(1.0, 40.0 - lo), [40.0 - lo]))
+    half = np.diff(ends)[:, None] / 2.0
+    t = (ends[:-1, None] + half * (1.0 + nodes)).ravel()
+    s, x = lo + t, (u + lo) + t
+    with np.errstate(over="ignore"):  # a gap past the largest float charges with probability 1
+        f = -np.expm1(-a * x) * -np.expm1(-2.0 * u * x) * np.exp(-s * s / 2.0)
+    return min(float((half * weights).ravel() @ f) / math.sqrt(2.0 * math.pi), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +452,6 @@ def block_survival_closed_form(params: BranchingParams, index: int, triple: Sequ
         return 0.0, True
     t = float(triple.times[index])
     return 1.0 - math.exp(-2.0 * width * cumulant_limit(params, t)), False
-
-
-def _block_batch(params: BranchingParams, t: float, x0: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    return sample_transition(params, t, x0, rng, size=count) > 0
-
-
-def block_survival_mc(
-    params: BranchingParams, index: int, triple: SequenceTriple, n: int, seed: int, threads: int = 1
-) -> MCEstimate:
-    """Branching-only companion estimate of the block survival probability."""
-    width = float(triple.upper[index] - triple.lower[index])
-    if width <= 0:
-        return MCEstimate(mean=0.0, stderr=0.0)
-    t = float(triple.times[index])
-    return _mc_batched(partial(_block_batch, params, t, 2.0 * width), n, seed, stream=0, threads=threads)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ from scbm.experiments import (
     SequenceTriple,
     SurvivalConfig,
     block_survival_closed_form,
-    block_survival_mc,
     build_sequences,
     integral_partial,
     series_eval,
     survival_experiment,
+    window_charge,
 )
-from scbm.flow import MeasureSpec
+from scbm.flow import MeasureSpec, coalescing_pair
 from scbm.harness import (
     GapConfig,
     LaplaceDualityConfig,
@@ -189,8 +189,12 @@ class TestAcceptance:
         )
         prob, _ = block_survival_closed_form(P21, 1, anchor_triple)
         ok_anchor = abs(prob - (1.0 - math.exp(-0.5))) <= 1e-12
-        est = block_survival_mc(P21, 1, anchor_triple, 10_000, seed=909)
-        ok_mc = abs(est.mean - prob) <= 3 * est.stderr
+        # the charge of [-1, 1] at h = 4 against 10^5 exact coalescing pairs run backward from its edges
+        charge = window_charge(P21, 1.0, 4.0)
+        lo, hi = coalescing_pair(-1.0, 1.0, 4.0, np.random.default_rng(909), 100_000)
+        drawn = -np.expm1(-cumulant_limit(P21, 4.0) * (hi - lo))
+        z_charge = (drawn.mean() - charge) / (drawn.std(ddof=1) / math.sqrt(len(drawn)))
+        ok_mc = abs(z_charge) <= 3
 
         ok = ok_partial and ok_limit and ok_log and ok_series and ok_seq and ok_anchor and ok_mc
         _report(
@@ -198,7 +202,7 @@ class TestAcceptance:
             "integral machinery",
             ok,
             f"partial_err={abs(diag.value - hand_partial):.1e} limit_err={abs((diag.limit_estimate or 0) - 1 / 0.7):.1e} "
-            f"block_mc={est.mean:.4f} vs {prob:.4f}",
+            f"ladder_charge={charge:.4f} z={z_charge:+.2f}",
         )
 
     def test_10_survival_trends(self):
@@ -225,7 +229,7 @@ class TestAcceptance:
                 "[scbm-duality]\nlaplace_n = 400\nabsorbing_n = 400\noccupation_n = 400\n"
                 "vacancy_n = 400\nrun_control = false\nrun_smoke = false\n"
             ),
-            "integral-test": "[integral-test]\nseries_n = 5\nseq_n = 4\nblock_n = 500\nhorizon = 100\n",
+            "integral-test": "[integral-test]\nseries_n = 5\nseq_n = 4\nhorizon = 100\n",
             "survival": "[survival]\ntruncation = 4\nhorizons = 1,2\nreplicas = 40\n",
         }
         ok = True

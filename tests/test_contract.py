@@ -25,7 +25,7 @@ TINY = {
     "verify-duality": "",
     "csbp-check": "sampler_n = 2\nentrance_n = 2\n",
     "scbm-duality": "".join(f"{key} = 2\n" for key in SUBCOMMANDS["scbm-duality"][0] if key.endswith("_n")),
-    "integral-test": "block_n = 2\n",
+    "integral-test": "",
     "survival": "replicas = 2\n",
 }
 

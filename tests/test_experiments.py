@@ -1,4 +1,5 @@
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -14,15 +15,15 @@ from scbm.experiments import (
     SurvivalConfig,
     _survival_batch,
     block_survival_closed_form,
-    block_survival_mc,
     build_sequences,
     comparison_constant,
     integral_partial,
     parse_growth,
     series_eval,
     survival_experiment,
+    window_charge,
 )
-from scbm.flow import MeasureSpec, init_ensemble
+from scbm.flow import MeasureSpec, coalescing_pair, init_ensemble
 from scbm.harness import _lattice_grid
 
 P21 = BranchingParams(gamma=2.0, beta=1.0)
@@ -281,12 +282,6 @@ class TestBlockSurvival:
         prob, empty = block_survival_closed_form(P21, 1, triple)
         assert prob == 0.0 and empty
 
-    def test_mc_companion_agrees(self):
-        triple = _synthetic_triple()
-        prob, _ = block_survival_closed_form(P21, 1, triple)
-        est = block_survival_mc(P21, 1, triple, 10_000, seed=99)
-        assert abs(est.mean - prob) <= 3 * est.stderr
-
 
 class TestSurvival:
     def test_zero_measure_gives_zero_fractions(self):
@@ -383,6 +378,82 @@ def _charged_exact(lam: float, d: float, h: float) -> float:
         math.exp(-lam * d) * cdf((d - 2.0 * lam * h) / s) - math.exp(lam * d) * cdf(-(d + 2.0 * lam * h) / s)
     )
     return 1.0 - vacant
+
+
+class TestWindowCharge:
+    """``window_charge``: P(X_h([-r, r]) > 0) from Lebesgue measure, 1 - E exp(-u_h(inf) D) by quadrature."""
+
+    @pytest.mark.parametrize("r, h", [(1.0, 4.0), (1.0, 64.0), (10.0, 1e4), (1e3, 1e6)])
+    def test_matches_coalescing_pair_draws(self, r, h):
+        # D is the gap at h of a coalescing pair run from -r and r, drawn in one exact step
+        lo, hi = coalescing_pair(-r, r, h, np.random.default_rng(3101), 400_000)
+        charged = -np.expm1(-cumulant_limit(P21, h) * (hi - lo))
+        se = charged.std(ddof=1) / math.sqrt(len(charged))
+        z = (charged.mean() - window_charge(P21, r, h)) / se
+        assert abs(z) <= 3.0, f"z={z:+.2f}"
+
+    def test_matches_the_direct_form_on_the_default_ladder(self):
+        # r = g(t_n) at g = power:0.3, h = t_n = e^n: lam^2 h = 1/h stays small, where the direct form holds
+        for n in range(1, 13):
+            h = math.exp(n)
+            r = h**0.3
+            exact = _charged_exact(cumulant_limit(P21, h), 2.0 * r, h)
+            assert window_charge(P21, r, h) == pytest.approx(exact, rel=0, abs=1e-10), n
+
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("r, h", [(1.0, 3.0), (0.05, 3.0), (10.0, 1e4), (1e3, 1e6)])
+    def test_steep_lower_end_matches_adaptive_quadrature(self, gamma, r, h):
+        # a small gamma makes u_h(inf) sqrt(2h) large: 1 - exp(-lam D) steps up within a sliver of D = 0, where
+        # unit panels alone miss by up to 1e-6 relative; scipy's adaptive quad, with a break at the step, holds 3e-11
+        integrate = pytest.importorskip("scipy.integrate")
+        params = BranchingParams(gamma=gamma, beta=1.0)
+        lam, d, sd = cumulant_limit(params, h), 2.0 * r, math.sqrt(2.0 * h)
+
+        def density(D):  # 1 - exp(-lam D) times the killed density of the gap, phi_2h(D - d) (1 - exp(-dD/h))
+            gauss = math.exp(-(((D - d) / sd) ** 2) / 2) / (sd * math.sqrt(2 * math.pi))
+            return -math.expm1(-lam * D) * -math.expm1(-d * D / h) * gauss
+
+        points = sorted([1.0 / lam, 10.0 / lam, d, d + sd])
+        exact, _ = integrate.quad(density, 0.0, d + 40.0 * sd, points=points, epsabs=0, epsrel=1e-13, limit=500)
+        assert window_charge(params, r, h) == pytest.approx(exact, rel=1e-10)
+
+    def test_small_charge_bracket(self):
+        # 1 - exp(-x) lies between x - x^2/2 and x, with E D = 2r and E D^2 = 4r^2 + 2 E[h ^ tau], where
+        # E[h ^ tau] = int_0^h erf(r / sqrt s) ds <= 4r sqrt(h / pi): so 1 - lam (r + 2 sqrt(h/pi)) <= P/(2r lam) <= 1
+        cases = 0
+        for beta in (1.0, 0.5, 0.25):
+            params = BranchingParams(gamma=2.0, beta=beta)
+            for p in (0.0, 0.3, 0.49, 1.0):
+                for n in range(1, 709):
+                    h = math.exp(n)
+                    r, lam = PowerGrowth(exponent=p)(h), cumulant_limit(params, h)
+                    slack = lam * (r + 2.0 * math.sqrt(h / math.pi))
+                    if slack < 1e-3 and 2.0 * r * lam > 1e-290:
+                        ratio = window_charge(params, r, h) / (2.0 * r * lam)
+                        assert 1.0 - slack - 1e-13 <= ratio <= 1.0 + 1e-13, (beta, p, n, ratio)
+                        cases += 1
+        assert cases == 4180
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("spec", ["power:0.3", "constant:1", "power:1", "constant:1e308"])
+    def test_below_jensen_and_half_the_series_term(self, beta, spec):
+        # P = 1 - E exp(-lam D) <= 1 - exp(-lam E D) = 1 - exp(-2 g(t) lam) <= 2 g(e t) lam, half the series term
+        params, g = BranchingParams(gamma=2.0, beta=beta), parse_growth(spec)
+        series = series_eval(g, params, 708)
+        for t, term in zip(series.times.tolist(), series.terms.tolist()):
+            jensen = -math.expm1(-2.0 * (g(t) * cumulant_limit(params, t)))
+            # below 2.2e-308 a float is subnormal, with an absolute resolution of 5e-324
+            assert window_charge(params, g(t), t) <= jensen * (1.0 + 1e-12) + 1e-320 and jensen <= term / 2.0, t
+
+    def test_finite_in_the_unit_interval_at_the_extremes(self):
+        for beta in (1.0, 0.5, 1e-8):
+            params = BranchingParams(gamma=2.0, beta=beta)
+            for h in (1e-300, 1e-10, 1.0, 1e10, 1e300):
+                for r in (0.0, 5e-324, 1.0, 1e300, sys.float_info.max):
+                    assert 0.0 <= window_charge(params, r, h) <= 1.0, (beta, h, r)
+        assert window_charge(P21, 0.0, 1.0) == 0.0
+        # the raw sum reads 1 + 2.2e-16 here, and the charge is clipped at 1
+        assert window_charge(P21, sys.float_info.max, 1.0) == 1.0
 
 
 class TestSeriesIntegralConsistency:

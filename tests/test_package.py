@@ -45,7 +45,7 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(
         "[csbp-check]\nsampler_n = 2000\nentrance_n = 2000\nflow_points = 2\n"
-        "[integral-test]\nseries_n = 3\nseq_n = 2\nblock_n = 100\n",
+        "[integral-test]\nseries_n = 3\nseq_n = 2\n",
         encoding="utf-8",
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
